@@ -86,7 +86,8 @@ class CveRecord:
 
 @dataclass(frozen=True)
 class PvcCacheEntry:
-    """Cached scan outcome for one component fingerprint.
+    """Cached scan outcome for one component fingerprint: the matched ids
+    and the sorted URIs of the generated names.
 
     Valid only while its generation equals the current database
     generation.
@@ -95,7 +96,7 @@ class PvcCacheEntry:
     fingerprint: bytes
     generation: int
     cve_ids: frozenset[str]
-    generated_cpes: frozenset[CpeName]
+    generated_cpes: tuple[str, ...]
 
 
 # Index key for names whose vendor or product is unspecified; those must
@@ -464,48 +465,46 @@ class VulnDatabase:
     # -- cache ------------------------------------------------------------
 
     def cache_lookup(self, fingerprint: bytes) -> PvcCacheEntry | None:
-        """Entry for the fingerprint, or None when absent or stale."""
+        """Entry for the fingerprint, or None when absent or stale. A stale
+        row is left in place; the next store of the fingerprint overwrites
+        it."""
         with self._lock:
             generation = self._snapshot.generation
             row = self._conn.execute(
                 "SELECT generation, cve_ids, cpes FROM cache WHERE fingerprint = ?",
                 (fingerprint.hex(),),
             ).fetchone()
-            if row is None:
-                return None
-            if row[0] != generation:
-                self._conn.execute(
-                    "DELETE FROM cache WHERE fingerprint = ?", (fingerprint.hex(),)
-                )
-                self._conn.commit()
-                return None
+        if row is None or row[0] != generation:
+            return None
         return PvcCacheEntry(
             fingerprint=fingerprint,
             generation=row[0],
             cve_ids=frozenset(json.loads(row[1])),
-            generated_cpes=frozenset(parse_cpe_uri(u) for u in json.loads(row[2])),
+            generated_cpes=tuple(json.loads(row[2])),
         )
 
-    def cache_store(self, entry: PvcCacheEntry) -> None:
-        """Persist a cache entry; rejects entries from another generation."""
+    def cache_store(self, *entries: PvcCacheEntry) -> None:
+        """Persist cache entries in one transaction; rejects them all when
+        any is from another generation."""
         with self._lock:
-            if entry.generation != self._snapshot.generation:
-                raise StaleGenerationError(
-                    f"cache entry generation {entry.generation} != "
-                    f"current {self._snapshot.generation}"
-                )
+            for entry in entries:
+                if entry.generation != self._snapshot.generation:
+                    raise StaleGenerationError(
+                        f"cache entry generation {entry.generation} != "
+                        f"current {self._snapshot.generation}"
+                    )
             with self._conn:
-                self._conn.execute(
+                self._conn.executemany(
                     "INSERT INTO cache (fingerprint, generation, cve_ids, cpes) "
                     "VALUES (?,?,?,?) ON CONFLICT(fingerprint) DO UPDATE SET "
                     "generation=excluded.generation, cve_ids=excluded.cve_ids, "
                     "cpes=excluded.cpes",
-                    (
+                    [(
                         entry.fingerprint.hex(),
                         entry.generation,
                         json.dumps(sorted(entry.cve_ids)),
-                        json.dumps(sorted(format_cpe_uri(n) for n in entry.generated_cpes)),
-                    ),
+                        json.dumps(list(entry.generated_cpes)),
+                    ) for entry in entries],
                 )
 
     # -- introspection helpers (used by tests and the CLI) ----------------

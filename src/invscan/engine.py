@@ -1,27 +1,25 @@
 """Scan execution: per-component CPE generation, matching, and caching.
 
-A job walks its inventory, scanning each component on a bounded worker
-pool. Results keep inventory order; one component failing never aborts
-its siblings. All reads go through the database snapshot pinned at job
-start, so a concurrent update cannot tear a job's view.
+A job walks its inventory in order against the database snapshot pinned
+at job start, so a concurrent update cannot tear its results; one
+component failing never aborts its siblings. The job's cache misses are
+stored together at the end, in one transaction.
 """
 
 from __future__ import annotations
 
 import enum
 import logging
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from .cpe import CpeName, format_cpe_uri, parse_cpe_uri
-from .db import PvcCacheEntry, StaleGenerationError, VulnDatabase
+from .cpe import format_cpe_uri
+from .db import DbSnapshot, PvcCacheEntry, StaleGenerationError, VulnDatabase
 from .generation import generate_cpes
 from .inventory import Inventory, Pvc, fingerprint_pvc, pvc_from_dict, pvc_to_dict
 
 log = logging.getLogger(__name__)
-
-DEFAULT_PVC_CONCURRENCY = 8
 
 
 class EngineError(Exception):
@@ -30,13 +28,13 @@ class EngineError(Exception):
 
 @dataclass(frozen=True)
 class PvcScanResult:
-    """Outcome for a single inventory component."""
+    """Outcome for a single inventory component; generated_cpes holds the
+    sorted URIs of the candidate names."""
 
     pvc: Pvc
-    generated_cpes: frozenset[CpeName]
+    generated_cpes: tuple[str, ...]
     cve_ids: frozenset[str]
     cache_hit: bool
-    elapsed: float
     error: str | None = None
 
 
@@ -68,19 +66,65 @@ _ALLOWED_TRANSITIONS = {
 
 @dataclass
 class ScanJob:
-    """A queued scan: token, owner, inventory, lifecycle state."""
+    """A queued scan: token, owner, inventory, lifecycle state.
+
+    enqueued_at is on the time.monotonic clock; finished is set once the
+    job reaches DONE or FAILED.
+    """
 
     token: str
     client_id: str
     inventory: Inventory
     state: JobState = JobState.QUEUED
-    enqueued_at: float = field(default_factory=time.time)
+    enqueued_at: float = field(default_factory=time.monotonic)
     polls_used: int = 0
+    finished: threading.Event = field(default_factory=threading.Event,
+                                      repr=False, compare=False)
 
     def transition(self, new_state: JobState) -> None:
         if new_state not in _ALLOWED_TRANSITIONS[self.state]:
             raise ValueError(f"illegal job transition {self.state} -> {new_state}")
         self.state = new_state
+        if new_state in (JobState.DONE, JobState.FAILED):
+            self.finished.set()
+
+
+def _scan(pvc: Pvc, database: VulnDatabase,
+          snapshot: DbSnapshot) -> tuple[PvcScanResult, PvcCacheEntry | None]:
+    """Scan one component against the snapshot; returns the result and,
+    on a cache miss, the entry that caches it.
+
+    A cached row counts only when it was stored under the snapshot's own
+    generation.
+    """
+    if snapshot.generation < 1:
+        raise EngineError("database has no completed update; run an update first")
+    fingerprint = fingerprint_pvc(pvc)
+    cached = database.cache_lookup(fingerprint)
+    if cached is not None and cached.generation == snapshot.generation:
+        return PvcScanResult(pvc=pvc, generated_cpes=cached.generated_cpes,
+                             cve_ids=cached.cve_ids, cache_hit=True), None
+    cpes = frozenset(generate_cpes(pvc, snapshot.gen_index))
+    entry = PvcCacheEntry(
+        fingerprint=fingerprint,
+        generation=snapshot.generation,
+        cve_ids=frozenset(snapshot.match_cpes_to_cves(cpes)),
+        generated_cpes=tuple(sorted(format_cpe_uri(name) for name in cpes)),
+    )
+    return PvcScanResult(pvc=pvc, generated_cpes=entry.generated_cpes,
+                         cve_ids=entry.cve_ids, cache_hit=False), entry
+
+
+def _store(database: VulnDatabase, entries: list[PvcCacheEntry]) -> None:
+    """Cache the entries in one transaction. A database update racing the
+    scan just skips the write (the results are still valid for the
+    snapshot they were computed on)."""
+    if not entries:
+        return
+    try:
+        database.cache_store(*entries)
+    except StaleGenerationError:
+        log.info("update raced the scan; %d results not cached", len(entries))
 
 
 def scan_pvc(pvc: Pvc, database: VulnDatabase) -> PvcScanResult:
@@ -88,67 +132,22 @@ def scan_pvc(pvc: Pvc, database: VulnDatabase) -> PvcScanResult:
 
     Cache hits return the stored ids without regenerating or matching;
     misses do the full generate/match pass and store the outcome under
-    the snapshot's generation. A database update racing the store just
-    skips the write (the result itself is still valid for the pinned
-    snapshot).
+    the snapshot's generation.
     """
-    snapshot = database.snapshot()
-    if snapshot.generation < 1:
-        raise EngineError("database has no completed update; run an update first")
-    started = time.monotonic()
-    fingerprint = fingerprint_pvc(pvc)
-    cached = database.cache_lookup(fingerprint)
-    if cached is not None:
-        return PvcScanResult(
-            pvc=pvc,
-            generated_cpes=cached.generated_cpes,
-            cve_ids=cached.cve_ids,
-            cache_hit=True,
-            elapsed=time.monotonic() - started,
-        )
-    cpes = frozenset(generate_cpes(pvc, snapshot.gen_index))
-    cve_ids = frozenset(snapshot.match_cpes_to_cves(cpes))
-    try:
-        database.cache_store(PvcCacheEntry(
-            fingerprint=fingerprint,
-            generation=snapshot.generation,
-            cve_ids=cve_ids,
-            generated_cpes=cpes,
-        ))
-    except StaleGenerationError:
-        log.info("update raced the scan of %s; result not cached", pvc.name)
-    return PvcScanResult(
-        pvc=pvc,
-        generated_cpes=cpes,
-        cve_ids=cve_ids,
-        cache_hit=False,
-        elapsed=time.monotonic() - started,
-    )
+    result, entry = _scan(pvc, database, database.snapshot())
+    if entry is not None:
+        _store(database, [entry])
+    return result
 
 
-def _scan_or_error(pvc: Pvc, database: VulnDatabase) -> PvcScanResult:
-    try:
-        return scan_pvc(pvc, database)
-    except Exception as exc:
-        log.exception("scan failed for component %r", pvc.name)
-        return PvcScanResult(
-            pvc=pvc,
-            generated_cpes=frozenset(),
-            cve_ids=frozenset(),
-            cache_hit=False,
-            elapsed=0.0,
-            error=f"{type(exc).__name__}: {exc}",
-        )
-
-
-def _summarize(results, database: VulnDatabase) -> tuple[int, float | None, int]:
+def _summarize(results, snapshot: DbSnapshot) -> tuple[int, float | None, int]:
     all_ids: set[str] = set()
     for result in results:
         all_ids |= result.cve_ids
     max_cvss: float | None = None
     exploit_count = 0
     for cve_id in all_ids:
-        record = database.get_record(cve_id)
+        record = snapshot.records.get(cve_id)
         if record is None:
             continue
         best = record.max_cvss()
@@ -159,21 +158,32 @@ def _summarize(results, database: VulnDatabase) -> tuple[int, float | None, int]
     return len(all_ids), max_cvss, exploit_count
 
 
-def execute_job(job: ScanJob, database: VulnDatabase,
-                concurrency_cap: int = DEFAULT_PVC_CONCURRENCY) -> ScanReport:
-    """Scan every component of the job's inventory, at most
-    concurrency_cap at a time, preserving inventory order."""
-    pvcs = job.inventory.pvcs
-    if not pvcs:
-        results: tuple[PvcScanResult, ...] = ()
-    else:
-        workers = max(1, min(concurrency_cap, len(pvcs)))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = tuple(pool.map(lambda p: _scan_or_error(p, database), pvcs))
-    total, max_cvss, exploit_count = _summarize(results, database)
+def execute_job(job: ScanJob, database: VulnDatabase) -> ScanReport:
+    """Scan every component of the job's inventory, in order, against one
+    pinned snapshot; then cache the job's misses in one transaction."""
+    snapshot = database.snapshot()
+    results: list[PvcScanResult] = []
+    misses: list[PvcCacheEntry] = []
+    for pvc in job.inventory.pvcs:
+        try:
+            result, entry = _scan(pvc, database, snapshot)
+        except Exception as exc:
+            log.exception("scan failed for component %r", pvc.name)
+            result, entry = PvcScanResult(
+                pvc=pvc,
+                generated_cpes=(),
+                cve_ids=frozenset(),
+                cache_hit=False,
+                error=f"{type(exc).__name__}: {exc}",
+            ), None
+        results.append(result)
+        if entry is not None:
+            misses.append(entry)
+    _store(database, misses)
+    total, max_cvss, exploit_count = _summarize(results, snapshot)
     return ScanReport(
         token=job.token,
-        results=results,
+        results=tuple(results),
         total_cves=total,
         max_cvss=max_cvss,
         exploit_count=exploit_count,
@@ -209,7 +219,7 @@ def report_to_dict(report: ScanReport, database: VulnDatabase | None = None) -> 
             cves.append(entry)
         doc = {
             "pvc": pvc_to_dict(result.pvc),
-            "cpes": sorted(format_cpe_uri(n) for n in result.generated_cpes),
+            "cpes": list(result.generated_cpes),
             "cves": cves,
             "cache_hit": result.cache_hit,
         }
@@ -229,10 +239,9 @@ def report_from_dict(doc: dict) -> ScanReport:
     for item in doc.get("results", []):
         results.append(PvcScanResult(
             pvc=pvc_from_dict(item["pvc"]),
-            generated_cpes=frozenset(parse_cpe_uri(u) for u in item.get("cpes", [])),
+            generated_cpes=tuple(item.get("cpes", [])),
             cve_ids=frozenset(c["id"] for c in item.get("cves", [])),
             cache_hit=bool(item.get("cache_hit", False)),
-            elapsed=0.0,
             error=item.get("error"),
         ))
     summary = doc.get("summary", {})

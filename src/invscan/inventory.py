@@ -144,6 +144,8 @@ def load_inventory(path: str | Path) -> Inventory:
 
 
 _ABSENT = "\x00absent"
+_CANONICAL_FIELDS = tuple((f.name, f.name.lower()) for f in fields(Pvc))
+_CANONICAL_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
 
 
 def canonical_pvc_bytes(pvc: Pvc) -> bytes:
@@ -151,14 +153,14 @@ def canonical_pvc_bytes(pvc: Pvc) -> bytes:
     order, absent values as a fixed sentinel, UTF-8. Injective on the
     field set, so it is safe as a cache-key preimage."""
     doc = {}
-    for f in fields(Pvc):
-        value = getattr(pvc, f.name)
+    for name, key in _CANONICAL_FIELDS:
+        value = getattr(pvc, name)
         if value is None:
             value = _ABSENT
         elif isinstance(value, PvcKind):
             value = value.value
-        doc[f.name.lower()] = value
-    return json.dumps(doc, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+        doc[key] = value
+    return _CANONICAL_ENCODER.encode(doc).encode("utf-8")
 
 
 def fingerprint_pvc(pvc: Pvc) -> bytes:

@@ -5,6 +5,14 @@ Request handling is stateless: every frame is authenticated, dispatched,
 and answered on its own; the only state that outlives a response is the
 job/report store keyed by token and the per-client credential record.
 Unauthenticatable traffic is dropped without a reply.
+
+A result request for an unfinished job waits for it (long-poll), so a
+report goes out as soon as it is ready. Each client starts scans at a
+steady pace: a scan request over its pace is held until its slot, which
+keeps one client from taking the workers for itself now that no poll
+interval spaces its requests. Each report is delivered once:
+its token is forgotten when the response has been sent, and finished
+jobs that nobody collects are dropped after REPORT_TTL_S.
 """
 
 from __future__ import annotations
@@ -42,6 +50,24 @@ REJECT_UNKNOWN_TOKEN = "unknown-token"
 REJECT_FORBIDDEN = "forbidden"
 REJECT_POLL_LIMIT = "poll-limit"
 REJECT_SCAN_FAILED = "scan-failed"
+REJECT_REPORT_TOO_LARGE = "report-too-large"
+
+# Longest a result request waits for its job to finish; well under the
+# client's 30 s transport timeout.
+RESULT_WAIT_S = 10.0
+# Finished jobs older than this (from enqueue) are dropped on the next
+# enqueue; twice the client's default max_wait.
+REPORT_TTL_S = 600.0
+# Longest a connection may stall mid-read before it is dropped.
+READ_TIMEOUT_S = 30.0
+# Scans one client may start per second, and at once after a pause.
+# Four a second is about a fifth of what the two default workers finish
+# on cold 100-component inventories on a 2-CPU machine.
+CLIENT_SCAN_RATE = 4.0
+CLIENT_SCAN_BURST = 2
+# Longest a scan request is held for its client's next scan slot; one
+# that would wait longer is refused as busy.
+SCAN_HOLD_MAX_S = 5.0
 
 
 @dataclass(frozen=True)
@@ -100,7 +126,6 @@ class ServerConfig:
     db_path: str = "invscan.db"
     delta_t: float = DEFAULT_DELTA_T
     worker_count: int = 2
-    pvc_concurrency_cap: int = 8
     queue_capacity: int = 64
     max_polls_per_token: int = 100
     block_base_seconds: float = 2.0
@@ -108,8 +133,7 @@ class ServerConfig:
     credentials_path: str | None = None
 
     def __post_init__(self) -> None:
-        for label in ("worker_count", "pvc_concurrency_cap", "queue_capacity",
-                      "max_polls_per_token"):
+        for label in ("worker_count", "queue_capacity", "max_polls_per_token"):
             if getattr(self, label) < 1:
                 raise ValueError(f"{label} must be >= 1")
         if self.block_base_seconds <= 0:
@@ -119,9 +143,8 @@ class ServerConfig:
 def config_from_dict(doc: dict) -> ServerConfig:
     rules = tuple(rule_from_dict(r) for r in doc.get("firewall", []))
     kwargs = {}
-    for key in ("port", "db_path", "delta_t", "worker_count", "pvc_concurrency_cap",
-                "queue_capacity", "max_polls_per_token", "block_base_seconds",
-                "credentials_path"):
+    for key in ("port", "db_path", "delta_t", "worker_count", "queue_capacity",
+                "max_polls_per_token", "block_base_seconds", "credentials_path"):
         if key in doc:
             kwargs[key] = doc[key]
     return ServerConfig(firewall_rules=rules, **kwargs)
@@ -191,6 +214,7 @@ class VulnServer:
             credentials = load_credentials(config.credentials_path)
         self.credentials: dict[str, ClientCredential] = dict(credentials or {})
         self._client_locks = {cid: threading.Lock() for cid in self.credentials}
+        self._scan_due: dict[str, float] = {}
         self._queue: queue.Queue = queue.Queue(maxsize=config.queue_capacity)
         self._jobs: dict[str, ScanJob] = {}
         self._reports: dict[str, dict] = {}
@@ -222,8 +246,7 @@ class VulnServer:
                 return
             try:
                 job.transition(JobState.RUNNING)
-                report = execute_job(job, self.database,
-                                     self.config.pvc_concurrency_cap)
+                report = execute_job(job, self.database)
                 doc = report_to_dict(report, self.database)
                 with self._store_lock:
                     self._reports[job.token] = doc
@@ -240,10 +263,16 @@ class VulnServer:
     # -- job store ---------------------------------------------------------
 
     def enqueue_job(self, inventory: Inventory, client_id: str) -> str | None:
-        """Queue a scan; returns the token, or None when the queue is full."""
+        """Queue a scan; returns the token, or None when the queue is full.
+
+        Drops finished jobs enqueued more than REPORT_TTL_S ago first.
+        """
         token = secrets.token_hex(TOKEN_BYTES)
-        job = ScanJob(token=token, client_id=client_id, inventory=inventory)
         with self._store_lock:
+            now = time.monotonic()
+            self._drop_expired(now)
+            job = ScanJob(token=token, client_id=client_id, inventory=inventory,
+                          enqueued_at=now)
             self._jobs[token] = job
         try:
             self._queue.put_nowait(job)
@@ -253,8 +282,32 @@ class VulnServer:
             return None
         return token
 
+    def _drop_expired(self, now: float) -> None:
+        """Drop finished jobs enqueued more than REPORT_TTL_S before now.
+        Caller holds _store_lock. Jobs sit in enqueue order, and at most
+        queue_capacity + worker_count of them are unfinished, so the walk
+        stops early."""
+        expired = []
+        for token, job in self._jobs.items():
+            if now - job.enqueued_at <= REPORT_TTL_S:
+                break
+            if job.finished.is_set():
+                expired.append(token)
+        for token in expired:
+            del self._jobs[token]
+            self._reports.pop(token, None)
+
+    def _forget(self, token: str) -> None:
+        with self._store_lock:
+            self._jobs.pop(token, None)
+            self._reports.pop(token, None)
+
     def fetch_result(self, token: str, client_id: str) -> tuple[MsgType, dict]:
-        """Resolve one poll into the response (type, body) to seal."""
+        """Resolve one poll into the response (type, body) to seal.
+
+        While worker threads run, a poll on an unfinished job first waits
+        up to RESULT_WAIT_S for it to finish; that wait is one poll.
+        """
         with self._store_lock:
             job = self._jobs.get(token)
             if job is None:
@@ -266,11 +319,19 @@ class VulnServer:
             job.polls_used += 1
             if job.polls_used > self.config.max_polls_per_token:
                 return MsgType.SCAN_REJECT, scan_reject_body(REJECT_POLL_LIMIT)
-            if job.state is JobState.DONE:
-                return MsgType.RESULT_RESPONSE, result_response_body(self._reports[token])
-            if job.state is JobState.FAILED:
-                return MsgType.SCAN_REJECT, scan_reject_body(REJECT_SCAN_FAILED)
-            return MsgType.RESULT_NOT_READY, result_not_ready_body()
+        if self._workers:
+            job.finished.wait(RESULT_WAIT_S)
+        state = job.state
+        if state is JobState.DONE:
+            # The worker stores the report before the job turns DONE.
+            with self._store_lock:
+                report = self._reports.get(token)
+            if report is None:  # delivered to another poll meanwhile
+                return MsgType.SCAN_REJECT, scan_reject_body(REJECT_UNKNOWN_TOKEN)
+            return MsgType.RESULT_RESPONSE, result_response_body(report)
+        if state is JobState.FAILED:
+            return MsgType.SCAN_REJECT, scan_reject_body(REJECT_SCAN_FAILED)
+        return MsgType.RESULT_NOT_READY, result_not_ready_body()
 
     # -- blocking policy -----------------------------------------------------
 
@@ -291,6 +352,25 @@ class VulnServer:
             return RateLimitResult.BLOCKED, state.blocked_until
         return RateLimitResult.PASS, 0.0
 
+    def reserve_scan_slot(self, client_id: str, now: float) -> float | None:
+        """Reserve the client's next scan start; returns how long to hold
+        the request first, or None (nothing reserved) when that would be
+        longer than SCAN_HOLD_MAX_S.
+
+        Slots follow the generic cell rate algorithm: each client's slots
+        are 1 / CLIENT_SCAN_RATE apart, and a client that paused may
+        start up to CLIENT_SCAN_BURST scans at once.
+        """
+        interval = 1.0 / CLIENT_SCAN_RATE
+        tolerance = (CLIENT_SCAN_BURST - 1) * interval
+        with self._client_locks[client_id]:
+            due = self._scan_due.get(client_id, now)
+            hold = max(0.0, due - tolerance - now)
+            if hold > SCAN_HOLD_MAX_S:
+                return None
+            self._scan_due[client_id] = max(now, due) + interval
+        return hold
+
     def reset_block(self, client_id: str) -> None:
         state = self.credentials[client_id].block_state
         state.violations = 0
@@ -302,8 +382,9 @@ class VulnServer:
         return run_update(self.database, feeds_dir)
 
     def _seal_response(self, cred: ClientCredential, msg_type: MsgType,
-                       body: dict, now: float) -> bytes:
-        envelope = seal_message(cred, msg_type, body, cred.next_send_sn(), int(now))
+                       body: dict) -> bytes:
+        envelope = seal_message(cred, msg_type, body, cred.next_send_sn(),
+                                int(time.time()))
         return encode_frame(envelope)
 
     def _dispatch(self, opened_type: MsgType, body: dict, client_id: str,
@@ -319,6 +400,11 @@ class VulnServer:
                 inventory = inventory_from_dict(body.get("inventory", {}))
             except InventoryError as exc:
                 return MsgType.SCAN_REJECT, scan_reject_body(f"bad-inventory: {exc}"), True
+            hold = self.reserve_scan_slot(client_id, time.monotonic())
+            if hold is None:
+                return MsgType.SCAN_REJECT, scan_reject_body(REJECT_BUSY), True
+            if hold > 0:
+                time.sleep(hold)
             token = self.enqueue_job(inventory, client_id)
             if token is None:
                 return MsgType.SCAN_REJECT, scan_reject_body(REJECT_BUSY), True
@@ -332,14 +418,16 @@ class VulnServer:
     def handle_connection(self, rfile, wfile, source_ip: str) -> None:
         """Serve one connection: read frames until EOF, drop, or close.
 
-        Unattributable problems (garbage frames, unknown ids, bad tags)
-        drop the connection without a reply; everything after a valid tag
-        gets an explicit sealed answer.
+        Unattributable problems (garbage frames, unknown ids, bad tags,
+        a read that fails or times out) drop the connection without a
+        reply; everything after a valid tag gets an explicit sealed
+        answer. The client's lock is held to open the request and again
+        to seal the answer, never across a long-poll or a scan's hold.
         """
         while True:
             try:
                 frame = read_frame(rfile)
-            except FrameError as exc:
+            except (FrameError, OSError) as exc:
                 log.info("dropping connection from %s: %s", source_ip, exc)
                 return
             if frame is None:
@@ -349,52 +437,64 @@ class VulnServer:
             except FrameError as exc:
                 log.info("dropping undecodable frame from %s: %s", source_ip, exc)
                 return
-            cred = self.credentials.get(envelope.client_id_a)
+            client_id = envelope.client_id_a
+            cred = self.credentials.get(client_id)
             if cred is None:
                 log.info("dropping frame for unknown client %r from %s",
-                         envelope.client_id_a, source_ip)
+                         client_id, source_ip)
                 return
-            lock = self._client_locks[envelope.client_id_a]
+            lock = self._client_locks[client_id]
+            reply = None
             with lock:
                 now = time.time()
-                close_after = True
                 try:
                     opened = open_message(envelope, cred, now, self.config.delta_t)
                 except TagInvalidError as exc:
                     # Anyone can send a bad tag; not attributable, no reply.
                     log.info("dropping %s frame from %s: %s",
-                             envelope.client_id_a, source_ip, exc.code)
+                             client_id, source_ip, exc.code)
                     return
                 except MalformedPayloadError as exc:
-                    reply_type: MsgType = MsgType.PROTOCOL_ERROR
-                    reply_body = protocol_error_body(exc.code)
+                    reply = (MsgType.PROTOCOL_ERROR, protocol_error_body(exc.code), True)
                 except (ImpersonationError, StaleTimestampError, ReplayError) as exc:
                     log.warning("protocol violation from %s (%s): %s",
-                                envelope.client_id_a, source_ip, exc.code)
-                    self.apply_rate_limit(envelope.client_id_a, True, now)
-                    reply_type = MsgType.PROTOCOL_ERROR
-                    reply_body = protocol_error_body(exc.code)
+                                client_id, source_ip, exc.code)
+                    self.apply_rate_limit(client_id, True, now)
+                    reply = (MsgType.PROTOCOL_ERROR, protocol_error_body(exc.code), True)
                 else:
-                    status, _until = self.apply_rate_limit(
-                        envelope.client_id_a, False, now)
+                    status, _until = self.apply_rate_limit(client_id, False, now)
                     if status == RateLimitResult.BLOCKED:
-                        reply_type = MsgType.PROTOCOL_ERROR
-                        reply_body = protocol_error_body("blocked")
-                    else:
-                        reply_type, reply_body, close_after = self._dispatch(
-                            opened.msg_type, opened.body, envelope.client_id_a,
-                            source_ip)
-                response = self._seal_response(cred, reply_type, reply_body, now)
+                        reply = (MsgType.PROTOCOL_ERROR, protocol_error_body("blocked"), True)
+            if reply is None:
+                reply = self._dispatch(opened.msg_type, opened.body, client_id, source_ip)
+            reply_type, reply_body, close_after = reply
+            delivering = reply_type is MsgType.RESULT_RESPONSE
+            token = str(opened.body.get("token", "")) if delivering else ""
+            with lock:
+                try:
+                    response = self._seal_response(cred, reply_type, reply_body)
+                except FrameError:
+                    # Only a report can outgrow a frame.
+                    log.warning("report %s exceeds the frame cap; dropped", token)
+                    self._forget(token)
+                    delivering, close_after = False, True
+                    response = self._seal_response(
+                        cred, MsgType.SCAN_REJECT,
+                        scan_reject_body(REJECT_REPORT_TOO_LARGE))
             try:
                 wfile.write(response)
                 wfile.flush()
             except OSError:
                 return
+            if delivering:
+                self._forget(token)
             if close_after:
                 return
 
 
 class _ConnectionHandler(socketserver.StreamRequestHandler):
+    timeout = READ_TIMEOUT_S
+
     def handle(self) -> None:
         self.server.app.handle_connection(self.rfile, self.wfile,
                                           self.client_address[0])

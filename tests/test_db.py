@@ -257,7 +257,7 @@ def test_indexed_matching_equals_brute_force(tmp_path, rng):
 def _entry(database, fp=b"\x01" * 32, cves=("CVE-2020-0001",)):
     return PvcCacheEntry(fingerprint=fp, generation=database.generation,
                          cve_ids=frozenset(cves),
-                         generated_cpes=frozenset({parse_cpe_uri("cpe:/a:a:b")}))
+                         generated_cpes=("cpe:/a:a:b",))
 
 
 def test_cache_store_then_lookup(tmp_path):

@@ -1,4 +1,4 @@
-"""Scan execution: caching behavior, job concurrency, accuracy, reports."""
+"""Scan execution: caching behavior, job execution, accuracy, reports."""
 
 import json
 import string
@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from invscan.cpe import format_cpe_uri
 from invscan.db import VulnDatabase
 from invscan.engine import (EngineError, JobState, ScanJob, compute_accuracy,
                             execute_job, report_from_dict, report_to_dict,
                             scan_pvc)
+from invscan.generation import generate_cpes
 from invscan.inventory import Inventory, Pvc, PvcKind, fingerprint_pvc
-from conftest import feed_item, make_database
+from conftest import brute_force_match, feed_item, make_database
 
 # Small application catalog: pretty inventory name, publisher string, and
 # the dictionary vendor/product pair its CPEs should land on.
@@ -156,7 +158,7 @@ def test_concurrent_equals_sequential_on_large_inventory(tmp_path):
     concurrent_db = catalog_database(tmp_path, name="conc")
     sequential_db = catalog_database(tmp_path, name="seq")
     job = ScanJob(token="t-big", client_id="c1", inventory=inventory)
-    report = execute_job(job, concurrent_db, concurrency_cap=8)
+    report = execute_job(job, concurrent_db)
     sequential = [scan_pvc(pvc, sequential_db) for pvc in inventory.pvcs]
     assert [r.cve_ids for r in report.results] == [r.cve_ids for r in sequential]
     assert [r.generated_cpes for r in report.results] == \
@@ -169,11 +171,52 @@ def test_cap_one_equals_default_cap(tmp_path):
     db_a = catalog_database(tmp_path, name="capa")
     db_b = catalog_database(tmp_path, name="capb")
     narrow = execute_job(ScanJob(token="t", client_id="c", inventory=inventory),
-                         db_a, concurrency_cap=1)
+                         db_a)
     wide = execute_job(ScanJob(token="t", client_id="c", inventory=inventory),
-                       db_b, concurrency_cap=8)
+                       db_b)
     assert [r.cve_ids for r in narrow.results] == [r.cve_ids for r in wide.results]
     assert narrow.total_cves == wide.total_cves
+
+
+@pytest.fixture(scope="module")
+def shared_catalog_db(tmp_path_factory):
+    database = catalog_database(tmp_path_factory.mktemp("shared"))
+    yield database
+    database.close()
+
+
+_PVC_STRATEGY = st.builds(
+    Pvc,
+    kind=st.just(PvcKind.APPLICATION),
+    name=st.sampled_from([entry[0] for entry in _CATALOG] + ["Obscuritron Deluxe"]),
+    publisher=st.sampled_from([None] + [entry[1] for entry in _CATALOG]),
+    display_version=st.sampled_from([None, "1.1", "6.2", "9.0.3"]),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(pvcs=st.lists(_PVC_STRATEGY, max_size=8))
+def test_job_matches_oracle_cold_cached_and_after_bump(shared_catalog_db, pvcs):
+    database = shared_catalog_db
+    inventory = Inventory(target_label="prop", pvcs=tuple(pvcs))
+
+    def scan_and_check() -> list[bool]:
+        """Run the job, check it against the oracle, return its cache hits."""
+        snapshot = database.snapshot()
+        report = execute_job(ScanJob(token="t", client_id="c", inventory=inventory),
+                             database)
+        for pvc, result in zip(pvcs, report.results, strict=True):
+            cpes = generate_cpes(pvc, snapshot.gen_index)
+            assert result.error is None
+            assert result.generated_cpes == tuple(sorted(format_cpe_uri(n) for n in cpes))
+            assert result.cve_ids == brute_force_match(snapshot.records, cpes)
+        return [result.cache_hit for result in report.results]
+
+    database.bump_generation()  # every example starts cold
+    assert not any(scan_and_check())
+    assert all(scan_and_check())
+    database.bump_generation()
+    assert not any(scan_and_check())
 
 
 class _FaultyLookups:

@@ -3,21 +3,26 @@
 import io
 import ipaddress
 import json
+import socket
+import sys
 import threading
 import time
+import types
 
 import pytest
 
+from invscan import server as server_module
 from invscan.db import VulnDatabase
-from invscan.engine import JobState
-from invscan.inventory import Inventory
+from invscan.engine import JobState, execute_job
+from invscan.inventory import Inventory, Pvc, PvcKind
 from invscan.protocol import (MsgType, decode_frame, encode_frame,
                               open_message, read_frame, result_request_body,
                               scan_request_body, seal_message)
-from invscan.server import (FirewallRule, RateLimitResult, ServerConfig,
-                            VulnServer, add_credential, config_from_dict,
-                            load_config, load_credentials, rule_from_dict,
-                            run_update, verify_request)
+from invscan.server import (REPORT_TTL_S, FirewallRule, RateLimitResult,
+                            ServerConfig, VulnServer, add_credential,
+                            config_from_dict, load_config, load_credentials,
+                            make_tcp_server, rule_from_dict, run_update,
+                            verify_request)
 from conftest import (client_credential, feed_item, make_database,
                       write_dictionary, write_exploit_map, write_feed)
 
@@ -316,6 +321,199 @@ def test_concurrent_submissions_all_accounted(tmp_path):
         server.stop_workers()
 
 
+# -- long-poll, delivery and the bounded store ----------------------------------------
+
+@pytest.fixture
+def gated_jobs(monkeypatch):
+    """Make every job run until the returned event is set."""
+    release = threading.Event()
+
+    def gated(job, database):
+        release.wait(10)
+        return execute_job(job, database)
+
+    monkeypatch.setattr("invscan.server.execute_job", gated)
+    yield release
+    release.set()
+
+
+def test_poll_on_running_job_returns_report_when_done(tmp_path, gated_jobs):
+    server = make_server(tmp_path, worker_count=1)
+    token = server.enqueue_job(empty_inventory(), "vsc-1")
+    server.start_workers()
+    try:
+        wait_for_state(server, token, JobState.RUNNING)
+        replies = []
+        poller = threading.Thread(
+            target=lambda: replies.append(server.fetch_result(token, "vsc-1")))
+        poller.start()
+        time.sleep(0.1)
+        assert poller.is_alive() and not replies
+        gated_jobs.set()
+        poller.join(timeout=5)
+        assert not poller.is_alive()
+    finally:
+        server.stop_workers()
+    msg_type, body = replies[0]
+    assert msg_type is MsgType.RESULT_RESPONSE
+    assert body["report"]["token"] == token
+    assert server._jobs[token].polls_used == 1
+
+
+def test_poll_outlasted_by_job_is_not_ready(tmp_path, gated_jobs, monkeypatch):
+    monkeypatch.setattr("invscan.server.RESULT_WAIT_S", 0.05)
+    server = make_server(tmp_path, worker_count=1)
+    token = server.enqueue_job(empty_inventory(), "vsc-1")
+    server.start_workers()
+    try:
+        wait_for_state(server, token, JobState.RUNNING)
+        msg_type, _ = server.fetch_result(token, "vsc-1")
+        assert msg_type is MsgType.RESULT_NOT_READY
+        assert server._jobs[token].polls_used == 1
+    finally:
+        gated_jobs.set()
+        server.stop_workers()
+
+
+def test_waiting_poll_leaves_client_free(tmp_path, gated_jobs):
+    server = make_server(tmp_path, worker_count=1)
+    client = client_credential()
+    token = server.enqueue_job(empty_inventory(), "vsc-1")
+    server.start_workers()
+    try:
+        replies = []
+        poller = threading.Thread(target=lambda: replies.extend(
+            wire_exchange(server, [result_request_frame(client, 1, token)])))
+        poller.start()
+        deadline = time.monotonic() + 5
+        while server._jobs[token].polls_used == 0 and time.monotonic() < deadline:
+            time.sleep(0.005)
+        began = time.monotonic()
+        accepted = wire_exchange(server, [scan_request_frame(client, sn=2)])
+        assert time.monotonic() - began < 2.0
+        assert poller.is_alive()
+        assert open_reply(accepted[0]).msg_type is MsgType.SCAN_ACCEPT
+        gated_jobs.set()
+        poller.join(timeout=5)
+        assert not poller.is_alive()
+    finally:
+        server.stop_workers()
+    assert open_reply(replies[0]).msg_type is MsgType.RESULT_RESPONSE
+
+
+def test_report_delivered_once(tmp_path):
+    server = make_server(tmp_path, worker_count=1)
+    client = client_credential()
+    view = client_credential()
+    token = server.enqueue_job(empty_inventory(), "vsc-1")
+    server.start_workers()
+    try:
+        wait_for_state(server, token, JobState.DONE)
+    finally:
+        server.stop_workers()
+    first = wire_exchange(server, [result_request_frame(client, 1, token)])
+    assert open_reply(first[0], view).msg_type is MsgType.RESULT_RESPONSE
+    assert token not in server._jobs and token not in server._reports
+    second = open_reply(
+        wire_exchange(server, [result_request_frame(client, 2, token)])[0], view)
+    assert second.msg_type is MsgType.SCAN_REJECT
+    assert second.body["reason"] == "unknown-token"
+
+
+def test_concurrent_long_polls_deliver_each_report_once(tmp_path):
+    client_ids = [f"vsc-{n}" for n in range(6)]
+    server = make_server(tmp_path, worker_count=4,
+                         credentials={c: client_credential(c) for c in client_ids})
+    outcomes = []
+
+    def submit_and_collect(client_id):
+        cred, view = client_credential(client_id), client_credential(client_id)
+        inventory = Inventory(target_label=client_id, pvcs=(
+            Pvc(kind=PvcKind.APPLICATION, name="Acme Paint", publisher="Acme"),))
+        tokens = [server.enqueue_job(inventory, client_id) for _ in range(5)]
+        for sn, token in enumerate(tokens, start=1):
+            reply = wire_exchange(server, [result_request_frame(cred, sn, token)])
+            outcomes.append(open_reply(reply[0], view).msg_type)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    server.start_workers()
+    try:
+        threads = [threading.Thread(target=submit_and_collect, args=(c,))
+                   for c in client_ids]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=20)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+        server.stop_workers()
+    assert outcomes == [MsgType.RESULT_RESPONSE] * 30
+    assert server._jobs == {} and server._reports == {}
+
+
+def test_oversize_report_rejected_and_dropped(tmp_path, monkeypatch):
+    server = make_server(tmp_path, worker_count=1)
+    pvcs = tuple(Pvc(kind=PvcKind.APPLICATION, name="Acme Paint", publisher="Acme",
+                     display_version=f"1.{n}") for n in range(30))
+    token = server.enqueue_job(Inventory(target_label="big", pvcs=pvcs), "vsc-1")
+    server.start_workers()
+    try:
+        wait_for_state(server, token, JobState.DONE)
+    finally:
+        server.stop_workers()
+    assert len(json.dumps(server._reports[token])) > 2048
+    monkeypatch.setattr("invscan.protocol.MAX_FRAME_BYTES", 2048)
+    replies = wire_exchange(server, [result_request_frame(client_credential(), 1, token)])
+    opened = open_reply(replies[0])
+    assert opened.msg_type is MsgType.SCAN_REJECT
+    assert opened.body["reason"] == "report-too-large"
+    assert token not in server._jobs and token not in server._reports
+
+
+def test_stalled_partial_frame_is_dropped(tmp_path, monkeypatch, caplog):
+    assert server_module._ConnectionHandler.timeout == server_module.READ_TIMEOUT_S
+    monkeypatch.setattr(server_module._ConnectionHandler, "timeout", 0.2)
+    server = make_server(tmp_path)
+    tcp = make_tcp_server(server, "127.0.0.1", 0)
+    listener = threading.Thread(target=tcp.serve_forever, daemon=True)
+    listener.start()
+    try:
+        with caplog.at_level("INFO", logger="invscan.server"):
+            with socket.create_connection(tcp.server_address, timeout=5) as conn:
+                conn.sendall(b"\x00\x00")  # half a length prefix, then silence
+                began = time.monotonic()
+                assert conn.recv(1) == b""
+                assert time.monotonic() - began < 3.0
+    finally:
+        tcp.shutdown()
+        tcp.server_close()
+        listener.join(timeout=5)
+    assert not listener.is_alive()
+    assert any("dropping connection" in rec.message for rec in caplog.records)
+
+
+def test_uncollected_finished_jobs_expire_on_enqueue(tmp_path, monkeypatch):
+    server = make_server(tmp_path)
+    finished = server.enqueue_job(empty_inventory(), "vsc-1")
+    job = server._jobs[finished]
+    job.transition(JobState.RUNNING)
+    server._reports[finished] = {"token": finished}
+    job.transition(JobState.DONE)
+    queued = server.enqueue_job(empty_inventory(), "vsc-1")
+    fresh = server.enqueue_job(empty_inventory(), "vsc-1")
+    assert set(server._jobs) == {finished, queued, fresh}
+
+    later = time.monotonic() + REPORT_TTL_S + 1
+    monkeypatch.setattr(server_module, "time",
+                        types.SimpleNamespace(monotonic=lambda: later))
+    newest = server.enqueue_job(empty_inventory(), "vsc-1")
+    # Only the finished job expired; unfinished ones wait for their worker.
+    assert set(server._jobs) == {queued, fresh, newest}
+    assert finished not in server._reports
+
+
 # -- blocking policy ----------------------------------------------------------------
 
 def test_block_durations_grow_exponentially(tmp_path):
@@ -355,6 +553,61 @@ def test_block_expires_and_counter_persists(tmp_path):
     server.reset_block("vsc-1")
     state = server.credentials["vsc-1"].block_state
     assert state.violations == 0 and state.blocked_until == 0.0
+
+
+# -- scan pacing -----------------------------------------------------------------------
+
+def set_scan_pace(monkeypatch, rate, burst):
+    monkeypatch.setattr(server_module, "CLIENT_SCAN_RATE", rate)
+    monkeypatch.setattr(server_module, "CLIENT_SCAN_BURST", burst)
+
+
+def test_scan_slots_follow_rate_and_burst(tmp_path, monkeypatch):
+    set_scan_pace(monkeypatch, 4.0, 2)
+    server = make_server(tmp_path)
+    holds = [server.reserve_scan_slot("vsc-1", 100.0) for _ in range(4)]
+    assert holds == pytest.approx([0.0, 0.0, 0.25, 0.5])
+    # A later request queues behind the slots already reserved.
+    assert server.reserve_scan_slot("vsc-1", 100.5) == pytest.approx(0.25)
+    # A pause earns the burst back, and no more than the burst.
+    assert [server.reserve_scan_slot("vsc-1", 200.0) for _ in range(3)] == \
+        pytest.approx([0.0, 0.0, 0.25])
+
+
+def test_scan_slot_beyond_longest_hold_reserves_nothing(tmp_path, monkeypatch):
+    set_scan_pace(monkeypatch, 4.0, 1)
+    server = make_server(tmp_path)
+    holds = []
+    while (hold := server.reserve_scan_slot("vsc-1", 100.0)) is not None:
+        holds.append(hold)
+    assert max(holds) <= server_module.SCAN_HOLD_MAX_S
+    assert len(holds) == int(server_module.SCAN_HOLD_MAX_S * 4) + 1
+    assert server.reserve_scan_slot("vsc-1", 100.0) is None
+    assert server.reserve_scan_slot("vsc-1", 100.25) == pytest.approx(max(holds))
+
+
+def test_scan_over_pace_is_held_then_accepted(tmp_path, monkeypatch):
+    set_scan_pace(monkeypatch, 20.0, 1)
+    server = make_server(tmp_path)
+    client = client_credential()
+    started = time.monotonic()
+    first = open_reply(wire_exchange(server, [scan_request_frame(client, sn=1)])[0])
+    second = open_reply(wire_exchange(server, [scan_request_frame(client, sn=2)])[0])
+    assert time.monotonic() - started >= 0.049
+    assert first.msg_type is second.msg_type is MsgType.SCAN_ACCEPT
+    assert len(server._jobs) == 2
+
+
+def test_scan_too_far_over_pace_rejected_as_busy(tmp_path, monkeypatch):
+    set_scan_pace(monkeypatch, 0.1, 1)
+    server = make_server(tmp_path)
+    client = client_credential()
+    first = open_reply(wire_exchange(server, [scan_request_frame(client, sn=1)])[0])
+    second = open_reply(wire_exchange(server, [scan_request_frame(client, sn=2)])[0])
+    assert first.msg_type is MsgType.SCAN_ACCEPT
+    assert second.msg_type is MsgType.SCAN_REJECT
+    assert second.body["reason"] == "busy"
+    assert len(server._jobs) == 1
 
 
 # -- connection handling ---------------------------------------------------------------
