@@ -2,8 +2,9 @@
 
 The transport is a one-request/one-response exchange so each poll is its
 own connection; tests substitute an in-memory double. Sequence numbers
-derive from the nanosecond clock, which keeps them strictly increasing
-even across separate client processes sharing one credential.
+come from ClientCredential.next_send_sn, which follows the nanosecond
+clock and so keeps them strictly increasing even across separate client
+processes sharing one credential.
 """
 
 from __future__ import annotations
@@ -83,14 +84,6 @@ class TcpTransport:
         return response
 
 
-def next_sequence_number(cred: ClientCredential) -> int:
-    """Strictly increasing send SN, seeded from the nanosecond clock so
-    independent processes sharing a credential never collide backwards."""
-    sn = max(time.time_ns(), cred.send_sn + 1)
-    cred.send_sn = sn
-    return sn
-
-
 def _exchange(config: ClientConfig, cred: ClientCredential, transport,
               msg_type: MsgType, body: dict) -> OpenedMessage:
     """Seal, send with retries, and open the reply.
@@ -105,8 +98,8 @@ def _exchange(config: ClientConfig, cred: ClientCredential, transport,
     """
     last_error: Exception | None = None
     for attempt in range(config.retries):
-        envelope = seal_message(cred, msg_type, body,
-                                next_sequence_number(cred), int(time.time()))
+        envelope = seal_message(cred, msg_type, body, cred.next_send_sn(),
+                                int(time.time()))
         try:
             raw = transport.request(encode_frame(envelope))
             break

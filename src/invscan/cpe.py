@@ -9,11 +9,9 @@ matches anything.
 
 from __future__ import annotations
 
-import logging
 import re
 from dataclasses import dataclass
 
-log = logging.getLogger(__name__)
 
 PARTS = ("o", "a", "h")
 
@@ -118,5 +116,4 @@ def cpe_matches(generated: CpeName, applicability: CpeName) -> bool:
     for a, b in zip(generated.components(), applicability.components()):
         if a is not None and b is not None and a != b:
             return False
-    log.debug("cpe match: %s ~ %s", format_cpe_uri(generated), format_cpe_uri(applicability))
     return True

@@ -1,20 +1,20 @@
 """Vulnerability database: feed ingestion, persistence, matching, caching.
 
-Backed by a single sqlite file. Readers work against an immutable
-per-generation snapshot (records, match index, generation index); every
-successful update transaction bumps the generation counter and rebuilds
-the snapshot, which also invalidates all cached per-component results.
+Backed by a single sqlite file. Data changes only through update_sources,
+one transaction that ingests the sources, bumps the generation counter
+and clears the scan cache; the snapshot is then rebuilt. Readers work
+against that immutable per-generation snapshot (records, match index,
+generation index).
 """
 
 from __future__ import annotations
 
-import datetime
 import json
 import logging
 import re
 import sqlite3
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cpe import (CpeError, CpeName, cpe_matches, format_cpe_uri,
                   normalize_component, parse_cpe_uri)
@@ -31,8 +31,6 @@ CREATE TABLE IF NOT EXISTS meta (
 );
 CREATE TABLE IF NOT EXISTS cve (
     id TEXT PRIMARY KEY,
-    description TEXT NOT NULL DEFAULT '',
-    published TEXT,
     cvss TEXT NOT NULL DEFAULT '[]'
 );
 CREATE TABLE IF NOT EXISTS cve_cpe (
@@ -70,11 +68,9 @@ class CveRecord:
     """One vulnerability: identity, scores, applicable CPE names."""
 
     id: str
-    description: str = ""
     cvss_scores: frozenset[tuple[str, float]] = frozenset()
     applicability: frozenset[CpeName] = frozenset()
     exploit_available: bool = False
-    published: datetime.date | None = None
 
     def __post_init__(self) -> None:
         if not CVE_ID_RE.fullmatch(self.id):
@@ -89,8 +85,7 @@ class PvcCacheEntry:
     """Cached scan outcome for one component fingerprint: the matched ids
     and the sorted URIs of the generated names.
 
-    Valid only while its generation equals the current database
-    generation.
+    Valid only for scans against a snapshot of the same generation.
     """
 
     fingerprint: bytes
@@ -117,8 +112,8 @@ class DbSnapshot:
 
     generation: int
     records: dict[str, CveRecord]
-    match_index: dict[tuple[str, str], tuple[tuple[str, CpeName], ...]] = field(default_factory=dict)
-    gen_index: GenerationIndex = field(default_factory=GenerationIndex)
+    match_index: dict[tuple[str, str], tuple[tuple[str, CpeName], ...]]
+    gen_index: GenerationIndex
 
     def match_cpes_to_cves(self, cpes) -> set[str]:
         """Ids of every record with an applicability name matching any
@@ -207,36 +202,16 @@ def _extract_cvss(impact: dict) -> list[tuple[str, float]]:
     return scores
 
 
-def _extract_description(cve_obj: dict) -> str:
-    data = cve_obj.get("description", {}).get("description_data", [])
-    for item in data:
-        if isinstance(item, dict) and item.get("value"):
-            return str(item["value"])
-    return ""
-
-
-def _parse_published(item: dict) -> str | None:
-    raw = item.get("publishedDate")
-    if not isinstance(raw, str) or len(raw) < 10:
-        return None
-    try:
-        datetime.date.fromisoformat(raw[:10])
-    except ValueError:
-        return None
-    return raw[:10]
-
-
 class VulnDatabase:
     """Single-file store plus the per-generation in-memory snapshot.
 
-    All mutating operations take the instance lock; readers use the
+    Updates and cache access take the instance lock; readers use the
     immutable snapshot and never block each other.
     """
 
     def __init__(self, path: str = ":memory:") -> None:
         self._lock = threading.RLock()
         self._conn = sqlite3.connect(path, check_same_thread=False)
-        self._conn.execute("PRAGMA foreign_keys = ON")
         with self._conn:
             self._conn.executescript(_SCHEMA)
             self._conn.execute(
@@ -277,20 +252,15 @@ class VulnDatabase:
             except CpeError:
                 log.warning("dropping stored unparseable URI %r for %s", uri, cve_id)
         records: dict[str, CveRecord] = {}
-        for cve_id, description, published, cvss_json in self._conn.execute(
-            "SELECT id, description, published, cvss FROM cve"
-        ):
+        for cve_id, cvss_json in self._conn.execute("SELECT id, cvss FROM cve"):
             scores = frozenset(
                 (str(tag), float(score)) for tag, score in json.loads(cvss_json)
             )
-            pub = datetime.date.fromisoformat(published) if published else None
             records[cve_id] = CveRecord(
                 id=cve_id,
-                description=description,
                 cvss_scores=scores,
                 applicability=frozenset(applicability.get(cve_id, set())),
                 exploit_available=cve_id in exploited,
-                published=pub,
             )
         index: dict[tuple[str, str], list[tuple[str, CpeName]]] = {}
         for record in records.values():
@@ -315,11 +285,10 @@ class VulnDatabase:
 
     # -- ingestion -------------------------------------------------------
 
-    def _ingest_nvd_feed_locked(self, path: str) -> int:
+    def _ingest_feed_locked(self, path: str) -> None:
         with open(path, "r", encoding="utf-8") as fh:
             feed = json.load(fh)
         items = feed.get("CVE_Items", [])
-        upserted = 0
         for position, item in enumerate(items):
             if not isinstance(item, dict):
                 log.warning("feed %s item %d is not an object; skipped", path, position)
@@ -330,9 +299,7 @@ class VulnDatabase:
                 log.warning("feed %s item %d lacks a usable CVE id; skipped", path, position)
                 continue
             cve_id = str(cve_id)
-            description = _extract_description(cve_obj)
             scores = _extract_cvss(item.get("impact", {}))
-            published = _parse_published(item)
             names: set[str] = set()
             for entry in _walk_nodes(item.get("configurations", {}).get("nodes", [])):
                 if entry.get("vulnerable") is False:
@@ -341,21 +308,17 @@ class VulnDatabase:
                 if name is not None:
                     names.add(format_cpe_uri(name))
             self._conn.execute(
-                "INSERT INTO cve (id, description, published, cvss) VALUES (?,?,?,?) "
-                "ON CONFLICT(id) DO UPDATE SET description=excluded.description, "
-                "published=excluded.published, cvss=excluded.cvss",
-                (cve_id, description, published, json.dumps(sorted(scores))),
+                "INSERT INTO cve (id, cvss) VALUES (?,?) "
+                "ON CONFLICT(id) DO UPDATE SET cvss=excluded.cvss",
+                (cve_id, json.dumps(sorted(scores))),
             )
             self._conn.execute("DELETE FROM cve_cpe WHERE cve_id = ?", (cve_id,))
             self._conn.executemany(
                 "INSERT OR IGNORE INTO cve_cpe (cve_id, uri) VALUES (?,?)",
                 [(cve_id, uri) for uri in sorted(names)],
             )
-            upserted += 1
-        return upserted
 
-    def _ingest_cpe_dictionary_locked(self, path: str) -> int:
-        count = 0
+    def _ingest_dictionary_locked(self, path: str) -> None:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
@@ -370,11 +333,8 @@ class VulnDatabase:
                     "INSERT OR IGNORE INTO cpe_dict (uri) VALUES (?)",
                     (format_cpe_uri(name),),
                 )
-                count += 1
-        return count
 
-    def _ingest_exploit_map_locked(self, path: str) -> int:
-        count = 0
+    def _ingest_exploits_locked(self, path: str) -> None:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
@@ -390,97 +350,55 @@ class VulnDatabase:
                     "INSERT OR IGNORE INTO exploit_link (exploit_id, cve_id) VALUES (?,?)",
                     (parts[0], parts[1]),
                 )
-                count += 1
-        return count
-
-    def ingest_nvd_feed(self, path: str) -> int:
-        """Upsert every CVE item in one feed file. Does not bump the
-        generation; use update_sources for an atomic update."""
-        with self._lock, self._conn:
-            count = self._ingest_nvd_feed_locked(path)
-        with self._lock:
-            self._snapshot = self._build_snapshot()
-        return count
-
-    def ingest_cpe_dictionary(self, path: str) -> int:
-        with self._lock, self._conn:
-            count = self._ingest_cpe_dictionary_locked(path)
-        with self._lock:
-            self._snapshot = self._build_snapshot()
-        return count
-
-    def ingest_exploit_map(self, path: str) -> int:
-        with self._lock, self._conn:
-            count = self._ingest_exploit_map_locked(path)
-        with self._lock:
-            self._snapshot = self._build_snapshot()
-        return count
 
     def update_sources(self, feed_paths=(), dictionary_paths=(), exploit_paths=()) -> int:
-        """Ingest all sources and bump the generation in one transaction.
+        """Ingest all sources, bump the generation and clear the scan
+        cache, in one transaction; the only way the data changes.
 
-        Any failure rolls the whole update back: the previous generation,
-        data, and cache validity are untouched. Returns the new generation.
+        Cached results of the old generation are now stale, and no row of
+        the new one exists yet: cache_store takes the same lock. Any
+        failure rolls the whole update back: the previous generation,
+        data, and cache are untouched. Returns the new generation.
         """
         with self._lock:
             try:
                 with self._conn:
                     for path in feed_paths:
-                        self._ingest_nvd_feed_locked(path)
+                        self._ingest_feed_locked(path)
                     for path in dictionary_paths:
-                        self._ingest_cpe_dictionary_locked(path)
+                        self._ingest_dictionary_locked(path)
                     for path in exploit_paths:
-                        self._ingest_exploit_map_locked(path)
+                        self._ingest_exploits_locked(path)
                     new_generation = self._read_generation() + 1
                     self._conn.execute(
                         "UPDATE meta SET value = ? WHERE key = 'generation'",
                         (str(new_generation),),
                     )
+                    self._conn.execute("DELETE FROM cache")
             except Exception:
                 log.exception("update failed; generation unchanged")
                 raise
             self._snapshot = self._build_snapshot()
             return new_generation
 
-    def bump_generation(self) -> int:
-        """Advance the generation without new data (cache invalidation)."""
-        with self._lock:
-            with self._conn:
-                new_generation = self._read_generation() + 1
-                self._conn.execute(
-                    "UPDATE meta SET value = ? WHERE key = 'generation'",
-                    (str(new_generation),),
-                )
-            self._snapshot = self._build_snapshot()
-            return new_generation
-
-    # -- matching / index -----------------------------------------------
-
-    def match_cpes_to_cves(self, cpes) -> set[str]:
-        return self._snapshot.match_cpes_to_cves(cpes)
-
-    def build_generation_index(self) -> GenerationIndex:
-        return self._snapshot.gen_index
-
     # -- cache ------------------------------------------------------------
 
-    def cache_lookup(self, fingerprint: bytes) -> PvcCacheEntry | None:
-        """Entry for the fingerprint, or None when absent or stale. A stale
-        row is left in place; the next store of the fingerprint overwrites
-        it."""
+    def cache_lookup(self, fingerprint: bytes, generation: int) -> PvcCacheEntry | None:
+        """Entry for the fingerprint stored under the given generation (the
+        caller's pinned one), or None. A row of another generation is a
+        miss and stays; the next store of the fingerprint overwrites it."""
         with self._lock:
-            generation = self._snapshot.generation
             row = self._conn.execute(
-                "SELECT generation, cve_ids, cpes FROM cache WHERE fingerprint = ?",
-                (fingerprint.hex(),),
+                "SELECT cve_ids, cpes FROM cache WHERE fingerprint = ? AND generation = ?",
+                (fingerprint.hex(), generation),
             ).fetchone()
-        if row is None or row[0] != generation:
+        if row is None:
             return None
         return PvcCacheEntry(
             fingerprint=fingerprint,
-            generation=row[0],
-            cve_ids=frozenset(json.loads(row[1])),
-            generated_cpes=tuple(json.loads(row[2])),
+            generation=generation,
+            cve_ids=frozenset(json.loads(row[0])),
+            generated_cpes=tuple(json.loads(row[1])),
         )
 
     def cache_store(self, *entries: PvcCacheEntry) -> None:
@@ -507,10 +425,5 @@ class VulnDatabase:
                     ) for entry in entries],
                 )
 
-    # -- introspection helpers (used by tests and the CLI) ----------------
-
     def record_count(self) -> int:
         return len(self._snapshot.records)
-
-    def get_record(self, cve_id: str) -> CveRecord | None:
-        return self._snapshot.records.get(cve_id)

@@ -3,7 +3,9 @@
 A job walks its inventory in order against the database snapshot pinned
 at job start, so a concurrent update cannot tear its results; one
 component failing never aborts its siblings. The job's cache misses are
-stored together at the end, in one transaction.
+stored together at the end, in one transaction. The report keeps the
+pinned snapshot, so its serialized scores and exploit flags come from the
+same generation as its results and summary.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 from .cpe import format_cpe_uri
 from .db import DbSnapshot, PvcCacheEntry, StaleGenerationError, VulnDatabase
 from .generation import generate_cpes
-from .inventory import Inventory, Pvc, fingerprint_pvc, pvc_from_dict, pvc_to_dict
+from .inventory import Inventory, Pvc, fingerprint_pvc, pvc_to_dict
 
 log = logging.getLogger(__name__)
 
@@ -40,13 +42,15 @@ class PvcScanResult:
 
 @dataclass(frozen=True)
 class ScanReport:
-    """All per-component results for one job plus the rollup summary."""
+    """All per-component results for one job plus the rollup summary,
+    and the snapshot they were computed on."""
 
     token: str
     results: tuple[PvcScanResult, ...]
     total_cves: int
     max_cvss: float | None
     exploit_count: int
+    snapshot: DbSnapshot = field(repr=False, compare=False)
 
 
 class JobState(enum.Enum):
@@ -100,8 +104,8 @@ def _scan(pvc: Pvc, database: VulnDatabase,
     if snapshot.generation < 1:
         raise EngineError("database has no completed update; run an update first")
     fingerprint = fingerprint_pvc(pvc)
-    cached = database.cache_lookup(fingerprint)
-    if cached is not None and cached.generation == snapshot.generation:
+    cached = database.cache_lookup(fingerprint, snapshot.generation)
+    if cached is not None:
         return PvcScanResult(pvc=pvc, generated_cpes=cached.generated_cpes,
                              cve_ids=cached.cve_ids, cache_hit=True), None
     cpes = frozenset(generate_cpes(pvc, snapshot.gen_index))
@@ -187,6 +191,7 @@ def execute_job(job: ScanJob, database: VulnDatabase) -> ScanReport:
         total_cves=total,
         max_cvss=max_cvss,
         exploit_count=exploit_count,
+        snapshot=snapshot,
     )
 
 
@@ -199,18 +204,15 @@ def compute_accuracy(found: set, actual: set) -> float:
 
 # -- report serialization -------------------------------------------------
 
-def report_to_dict(report: ScanReport, database: VulnDatabase | None = None) -> dict:
-    """JSON-ready report form.
-
-    Per-CVE score/exploit details are attached when a database is given;
-    otherwise ids alone are carried (enough to round-trip).
-    """
+def report_to_dict(report: ScanReport) -> dict:
+    """JSON-ready report form; per-CVE scores and exploit flags come from
+    the snapshot the job was scanned against."""
     results = []
     for result in report.results:
         cves = []
         for cve_id in sorted(result.cve_ids):
             entry: dict = {"id": cve_id, "exploit": False}
-            record = database.get_record(cve_id) if database else None
+            record = report.snapshot.records.get(cve_id)
             if record is not None:
                 best = record.max_cvss()
                 if best is not None:
@@ -232,23 +234,3 @@ def report_to_dict(report: ScanReport, database: VulnDatabase | None = None) -> 
         "exploit_count": report.exploit_count,
     }
     return {"token": report.token, "results": results, "summary": summary}
-
-
-def report_from_dict(doc: dict) -> ScanReport:
-    results = []
-    for item in doc.get("results", []):
-        results.append(PvcScanResult(
-            pvc=pvc_from_dict(item["pvc"]),
-            generated_cpes=tuple(item.get("cpes", [])),
-            cve_ids=frozenset(c["id"] for c in item.get("cves", [])),
-            cache_hit=bool(item.get("cache_hit", False)),
-            error=item.get("error"),
-        ))
-    summary = doc.get("summary", {})
-    return ScanReport(
-        token=doc.get("token", ""),
-        results=tuple(results),
-        total_cves=int(summary.get("total_cves", 0)),
-        max_cvss=summary.get("max_cvss"),
-        exploit_count=int(summary.get("exploit_count", 0)),
-    )

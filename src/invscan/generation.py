@@ -51,8 +51,6 @@ class GenerationIndex:
     linux_vendors: frozenset[str] = frozenset()
 
 
-EMPTY_INDEX = GenerationIndex()
-
 
 def build_index_from_names(names) -> GenerationIndex:
     """Derive a GenerationIndex from an iterable of dictionary CpeNames."""

@@ -24,6 +24,7 @@ import json
 import logging
 import os
 import struct
+import time
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -119,6 +120,11 @@ class ClientCredential:
     send_sn feeds sequence numbers for messages sent TO the peer. The
     two directions never share a counter. Mutations must be serialized
     per client by the caller.
+
+    Send sequence numbers follow the nanosecond clock, so they keep
+    increasing across restarts of the sender and across separate
+    processes sharing one credential; a peer that opened messages from
+    an earlier run accepts the next one.
     """
 
     client_id: str
@@ -136,7 +142,8 @@ class ClientCredential:
                    derived_key=derive_client_key(secret, salt))
 
     def next_send_sn(self) -> int:
-        self.send_sn += 1
+        """Strictly increasing, and never below the nanosecond clock."""
+        self.send_sn = max(time.time_ns(), self.send_sn + 1)
         return self.send_sn
 
 

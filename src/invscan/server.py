@@ -184,8 +184,9 @@ def add_credential(path: str, client_id: str) -> tuple[str, str]:
 
 def run_update(database: VulnDatabase, feeds_dir: str) -> int:
     """Ingest every feed (*.json), dictionary (*.txt), and exploit map
-    (*.csv) in a directory and bump the generation, atomically. Jobs
-    already running keep the snapshot they started with."""
+    (*.csv) in a directory, bump the generation and clear the scan
+    cache, atomically. Jobs already running keep the snapshot they
+    started with."""
     base = pathlib.Path(feeds_dir)
     feeds = sorted(str(p) for p in base.glob("*.json"))
     dictionaries = sorted(str(p) for p in base.glob("*.txt"))
@@ -246,8 +247,10 @@ class VulnServer:
                 return
             try:
                 job.transition(JobState.RUNNING)
-                report = execute_job(job, self.database)
-                doc = report_to_dict(report, self.database)
+                # No local keeps the report: it holds the job's snapshot,
+                # which an idle worker would otherwise keep alive across
+                # later updates.
+                doc = report_to_dict(execute_job(job, self.database))
                 with self._store_lock:
                     self._reports[job.token] = doc
                 job.transition(JobState.DONE)

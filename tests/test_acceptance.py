@@ -199,8 +199,9 @@ def test_acceptance_3_matching_oracle_equivalence(tmp_path, announce):
             database = make_database(tmp_path, items, name=f"seed{seed}")
             try:
                 queries = [_random_cpe(rng) for _ in range(query_count)]
-                got = database.match_cpes_to_cves(queries)
-                want = brute_force_match(database.snapshot().records, queries)
+                snapshot = database.snapshot()
+                got = snapshot.match_cpes_to_cves(queries)
+                want = brute_force_match(snapshot.records, queries)
                 assert got == want, f"divergence at seed {seed}"
             finally:
                 database.close()
@@ -545,7 +546,7 @@ def test_acceptance_8_partial_record_ingestion(tmp_path, announce):
         # The widest possible query: records without any applicability
         # name still must never match.
         catch_all = [CpeName(part=part) for part in "aoh"]
-        got = database.match_cpes_to_cves(catch_all)
+        got = database.snapshot().match_cpes_to_cves(catch_all)
         assert got == {f"CVE-2020-{i:04d}" for i in range(30, 100)}
         assert got == brute_force_match(records, catch_all)
 
@@ -556,7 +557,7 @@ def test_acceptance_8_partial_record_ingestion(tmp_path, announce):
             Pvc(kind=PvcKind.APPLICATION, name="p50", publisher="v50"),
         ))
         report = execute_job(_job(inventory), database)
-        doc = report_to_dict(report, database)
+        doc = report_to_dict(report)
         scoreless = doc["results"][0]["cves"]
         scored = doc["results"][1]["cves"]
         assert {"id": "CVE-2020-0035", "exploit": False} in scoreless

@@ -11,8 +11,7 @@ from invscan.cli import main as cli_main
 from invscan.client import (EXIT_MITM, EXIT_OK, EXIT_POLL_LIMIT,
                             EXIT_REJECTED, EXIT_THRESHOLD, EXIT_TIMEOUT,
                             EXIT_TRANSPORT, ClientConfig, TransportError,
-                            next_sequence_number, poll_result, render_report,
-                            run_scan)
+                            poll_result, render_report, run_scan)
 from invscan.protocol import (MsgType, decode_frame, encode_frame,
                               open_message, result_response_body,
                               scan_accept_body, scan_reject_body,
@@ -77,15 +76,6 @@ def test_config_validation():
     cred = make_config().credential()
     assert cred.client_id == "vsc-1"
     assert cred.derived_key == client_credential().derived_key
-
-
-def test_next_sequence_number_strictly_increases():
-    cred = client_credential()
-    values = [next_sequence_number(cred) for _ in range(50)]
-    assert all(b > a for a, b in zip(values, values[1:]))
-    # A clock stuck in the past still cannot repeat a sequence number.
-    cred.send_sn = 2**63
-    assert next_sequence_number(cred) == 2**63 + 1
 
 
 # -- scan submission ----------------------------------------------------------------

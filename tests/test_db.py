@@ -1,13 +1,11 @@
 """Feed ingestion, persistence, matching, and the generation-scoped cache."""
 
-import json
-import random
-
 import pytest
 
 from invscan.cpe import CpeName, parse_cpe_uri
 from invscan.db import (CveRecord, DbError, PvcCacheEntry, StaleGenerationError,
                         VulnDatabase, cpe23_to_22)
+from invscan.generation import GenerationIndex
 from conftest import (brute_force_match, feed_item, make_database,
                       write_dictionary, write_exploit_map, write_feed)
 
@@ -23,16 +21,18 @@ def test_ingest_counts_and_empty_sets(tmp_path):
         feed_item("CVE-2020-0005", cpes=["cpe:/h:acme:router"], cvss3=6.1),
     ]
     database = make_database(tmp_path, items)
+    records = database.snapshot().records
     assert database.record_count() == 5
-    assert database.get_record("CVE-2020-0003").applicability == frozenset()
-    assert database.get_record("CVE-2020-0004").cvss_scores == frozenset()
-    assert database.get_record("CVE-2020-0002").cvss_scores == frozenset({("2.0", 7.5)})
+    assert records["CVE-2020-0003"].applicability == frozenset()
+    assert records["CVE-2020-0004"].cvss_scores == frozenset()
+    assert records["CVE-2020-0002"].cvss_scores == frozenset({("2.0", 7.5)})
 
 
 def test_ingest_empty_feed(tmp_path):
     database = VulnDatabase(str(tmp_path / "db.sqlite"))
     path = write_feed(tmp_path / "empty.json", [])
-    assert database.ingest_nvd_feed(path) == 0
+    assert database.update_sources([path]) == 1
+    assert database.snapshot().records == {}
 
 
 def test_ingest_is_idempotent(tmp_path):
@@ -40,11 +40,12 @@ def test_ingest_is_idempotent(tmp_path):
              feed_item("CVE-2020-0002", cpes=["cpe:/a:acme:paint", "cpe:/a:acme:brush"])]
     database = VulnDatabase(str(tmp_path / "db.sqlite"))
     path = write_feed(tmp_path / "feed.json", items)
-    database.ingest_nvd_feed(path)
-    before = database.snapshot().records
-    database.ingest_nvd_feed(path)
-    after = database.snapshot().records
-    assert before == after
+    database.update_sources([path])
+    before = database.snapshot()
+    database.update_sources([path])
+    after = database.snapshot()
+    assert before.records == after.records
+    assert before.match_index == after.match_index
     assert database.record_count() == 2
 
 
@@ -53,8 +54,8 @@ def test_ingest_skips_idless_items(tmp_path, caplog):
     database = VulnDatabase(str(tmp_path / "db.sqlite"))
     path = write_feed(tmp_path / "feed.json", items)
     with caplog.at_level("WARNING"):
-        count = database.ingest_nvd_feed(path)
-    assert count == 1
+        database.update_sources([path])
+    assert set(database.snapshot().records) == {"CVE-2020-0001"}
     assert any("lacks a usable CVE id" in m for m in caplog.messages)
 
 
@@ -63,7 +64,7 @@ def test_ingest_accepts_cpe23_uris(tmp_path):
     item["configurations"]["nodes"] = [{"cpe_match": [
         {"vulnerable": True, "cpe23Uri": "cpe:2.3:a:adobe:reader:9.0:*:*:*:*:*:*:*"}]}]
     database = make_database(tmp_path, [item])
-    record = database.get_record("CVE-2020-0001")
+    record = database.snapshot().records["CVE-2020-0001"]
     assert parse_cpe_uri("cpe:/a:adobe:reader:9.0") in record.applicability
 
 
@@ -71,7 +72,7 @@ def test_ingest_skips_environment_components(tmp_path):
     item = feed_item("CVE-2020-0001", cpes=["cpe:/a:adobe:reader", "cpe:/o:microsoft:windows_10"],
                      vulnerable_flags=[True, False])
     database = make_database(tmp_path, [item])
-    record = database.get_record("CVE-2020-0001")
+    record = database.snapshot().records["CVE-2020-0001"]
     assert record.applicability == frozenset({parse_cpe_uri("cpe:/a:adobe:reader")})
 
 
@@ -82,7 +83,8 @@ def test_ingest_walks_nested_nodes(tmp_path):
         "children": [{"cpe_match": [{"vulnerable": True, "cpe22Uri": "cpe:/a:acme:paint"}]}],
     }]
     database = make_database(tmp_path, [item])
-    assert parse_cpe_uri("cpe:/a:acme:paint") in database.get_record("CVE-2020-0001").applicability
+    record = database.snapshot().records["CVE-2020-0001"]
+    assert parse_cpe_uri("cpe:/a:acme:paint") in record.applicability
 
 
 def test_cpe23_downconversion():
@@ -103,7 +105,7 @@ def test_cve_record_rejects_malformed_id():
 def test_dictionary_feeds_index(tmp_path):
     database = make_database(tmp_path, [feed_item("CVE-2020-0001")],
                              dictionary=["cpe:/o:canonical:ubuntu_linux:18.04"])
-    index = database.build_generation_index()
+    index = database.snapshot().gen_index
     assert "canonical" in index.known_vendors
     assert "ubuntu_linux" in index.known_products
     assert index.linux_vendors == {"canonical"}
@@ -113,7 +115,8 @@ def test_dictionary_empty_file(tmp_path):
     database = VulnDatabase(str(tmp_path / "db.sqlite"))
     path = tmp_path / "dict.txt"
     path.write_text("", encoding="utf-8")
-    assert database.ingest_cpe_dictionary(str(path)) == 0
+    database.update_sources(dictionary_paths=[str(path)])
+    assert database.snapshot().gen_index == GenerationIndex()
 
 
 def test_dictionary_skips_malformed_lines(tmp_path, caplog):
@@ -121,7 +124,11 @@ def test_dictionary_skips_malformed_lines(tmp_path, caplog):
     path = tmp_path / "dict.txt"
     path.write_text("cpe:/a:good:entry\nnot-a-uri\ncpe:/x:bad:part\n", encoding="utf-8")
     with caplog.at_level("WARNING"):
-        assert database.ingest_cpe_dictionary(str(path)) == 1
+        database.update_sources(dictionary_paths=[str(path)])
+    index = database.snapshot().gen_index
+    assert index.known_vendors == {"good"}
+    assert index.known_products == {"entry"}
+    assert sum("skipping malformed URI" in m for m in caplog.messages) == 2
 
 
 def test_dictionary_distinct_product_count_oracle(tmp_path, rng):
@@ -134,7 +141,7 @@ def test_dictionary_distinct_product_count_oracle(tmp_path, rng):
     # independent scan over the raw listing
     expected_products = {parse_cpe_uri(u).product for u in uris}
     expected_vendors = {parse_cpe_uri(u).vendor for u in uris}
-    index = database.build_generation_index()
+    index = database.snapshot().gen_index
     assert index.known_products == expected_products
     assert index.known_vendors == expected_vendors
 
@@ -146,14 +153,14 @@ def test_index_android_and_apple_lists(tmp_path):
         "cpe:/o:apple:mac_os_x:10.6",
         "cpe:/a:apple:itunes",
     ])
-    index = database.build_generation_index()
+    index = database.snapshot().gen_index
     assert index.android_vendors >= {"google", "motorola"}
     assert index.apple_os_products == {"mac_os_x"}
 
 
 def test_index_empty_dictionary(tmp_path):
     database = make_database(tmp_path, [feed_item("CVE-2020-0001")])
-    index = database.build_generation_index()
+    index = database.snapshot().gen_index
     assert not index.known_vendors and not index.known_products
     assert not index.android_vendors and not index.linux_vendors
 
@@ -166,18 +173,20 @@ def test_exploit_flags_set(tmp_path):
         [feed_item("CVE-2017-0001"), feed_item("CVE-2017-0002")],
         exploits=[("EDB-1", "CVE-2017-0001")],
     )
-    assert database.get_record("CVE-2017-0001").exploit_available
-    assert not database.get_record("CVE-2017-0002").exploit_available
+    records = database.snapshot().records
+    assert records["CVE-2017-0001"].exploit_available
+    assert not records["CVE-2017-0002"].exploit_available
 
 
 def test_exploit_links_to_unknown_cves_retained(tmp_path):
     database = VulnDatabase(str(tmp_path / "db.sqlite"))
     exploit_path = write_exploit_map(tmp_path / "e.csv", [("EDB-9", "CVE-2021-7777")])
-    database.ingest_exploit_map(exploit_path)
+    database.update_sources(exploit_paths=[exploit_path])
+    assert database.snapshot().records == {}
     # the CVE arrives later; the link must take effect then
     feed_path = write_feed(tmp_path / "f.json", [feed_item("CVE-2021-7777")])
     database.update_sources([feed_path], [], [])
-    assert database.get_record("CVE-2021-7777").exploit_available
+    assert database.snapshot().records["CVE-2021-7777"].exploit_available
 
 
 def test_exploit_join_matches_brute_force_oracle(tmp_path, rng):
@@ -185,17 +194,22 @@ def test_exploit_join_matches_brute_force_oracle(tmp_path, rng):
     links = [(f"EDB-{i}", rng.choice(cve_ids + ["CVE-2019-9999"])) for i in range(25)]
     database = make_database(tmp_path, [feed_item(c) for c in cve_ids], exploits=links)
     expected = {cve for _, cve in links if cve in cve_ids}
-    flagged = {c for c in cve_ids if database.get_record(c).exploit_available}
+    records = database.snapshot().records
+    flagged = {c for c in cve_ids if records[c].exploit_available}
     assert flagged == expected
 
 
 def test_exploit_map_skips_malformed_rows(tmp_path, caplog):
     database = VulnDatabase(str(tmp_path / "db.sqlite"))
+    feed = write_feed(tmp_path / "f.json", [feed_item("CVE-2020-0001")])
     path = tmp_path / "e.csv"
     path.write_text("exploit_id,cve_id\nEDB-1,CVE-2020-0001\ngarbage line\nEDB-2\n",
                     encoding="utf-8")
     with caplog.at_level("WARNING"):
-        assert database.ingest_exploit_map(str(path)) == 1
+        database.update_sources([feed], exploit_paths=[str(path)])
+    assert database.snapshot().records["CVE-2020-0001"].exploit_available
+    # the header is skipped quietly; the two malformed rows are logged
+    assert sum("skipping malformed exploit link" in m for m in caplog.messages) == 2
 
 
 # -- matching ------------------------------------------------------------------
@@ -203,29 +217,29 @@ def test_exploit_map_skips_malformed_rows(tmp_path, caplog):
 def test_match_any_version(tmp_path):
     database = make_database(tmp_path, [
         feed_item("CVE-2020-0001", cpes=["cpe:/o:microsoft:windows_xp"])])
-    got = database.match_cpes_to_cves(
+    got = database.snapshot().match_cpes_to_cves(
         [parse_cpe_uri("cpe:/o:microsoft:windows_xp:5.1.2600:sp3")])
     assert got == {"CVE-2020-0001"}
 
 
 def test_match_empty_input(tmp_path):
     database = make_database(tmp_path, [feed_item("CVE-2020-0001", cpes=["cpe:/a:a:b"])])
-    assert database.match_cpes_to_cves([]) == set()
+    assert database.snapshot().match_cpes_to_cves([]) == set()
 
 
 def test_cpeless_cves_never_match(tmp_path):
     database = make_database(tmp_path, [feed_item("CVE-2020-0001", cpes=[])])
     queries = [CpeName(part=p) for p in "oah"]
-    assert database.match_cpes_to_cves(queries) == set()
+    assert database.snapshot().match_cpes_to_cves(queries) == set()
 
 
 def test_wildcard_applicability_reaches_every_query(tmp_path):
     # applicability with unspecified vendor/product sits in the wildcard
     # bucket and must still match
     database = make_database(tmp_path, [feed_item("CVE-2020-0001", cpes=["cpe:/o"])])
-    assert database.match_cpes_to_cves(
+    assert database.snapshot().match_cpes_to_cves(
         [parse_cpe_uri("cpe:/o:microsoft:windows_10")]) == {"CVE-2020-0001"}
-    assert database.match_cpes_to_cves([parse_cpe_uri("cpe:/a:adobe:reader")]) == set()
+    assert database.snapshot().match_cpes_to_cves([parse_cpe_uri("cpe:/a:adobe:reader")]) == set()
 
 
 def _random_name(rng, vendors, products):
@@ -248,7 +262,7 @@ def test_indexed_matching_equals_brute_force(tmp_path, rng):
     database = make_database(tmp_path, items)
     for _ in range(20):
         queries = [_random_name(rng, vendors, products) for _ in range(rng.randrange(0, 30))]
-        got = database.match_cpes_to_cves(queries)
+        got = database.snapshot().match_cpes_to_cves(queries)
         assert got == brute_force_match(database.snapshot().records, queries)
 
 
@@ -264,29 +278,32 @@ def test_cache_store_then_lookup(tmp_path):
     database = make_database(tmp_path, [feed_item("CVE-2020-0001")])
     entry = _entry(database)
     database.cache_store(entry)
-    got = database.cache_lookup(entry.fingerprint)
+    got = database.cache_lookup(entry.fingerprint, database.generation)
     assert got is not None
+    assert got.generation == database.generation
     assert got.cve_ids == entry.cve_ids
     assert got.generated_cpes == entry.generated_cpes
 
 
 def test_cache_unknown_fingerprint(tmp_path):
     database = make_database(tmp_path, [feed_item("CVE-2020-0001")])
-    assert database.cache_lookup(b"\xff" * 32) is None
+    assert database.cache_lookup(b"\xff" * 32, database.generation) is None
 
 
 def test_cache_invalidated_by_generation_bump(tmp_path):
     database = make_database(tmp_path, [feed_item("CVE-2020-0001")])
     entry = _entry(database)
     database.cache_store(entry)
-    database.bump_generation()
-    assert database.cache_lookup(entry.fingerprint) is None
+    database.update_sources()
+    assert database.cache_lookup(entry.fingerprint, database.generation) is None
+    # a job pinned to the old generation misses too: the update purged it
+    assert database.cache_lookup(entry.fingerprint, entry.generation) is None
 
 
 def test_cache_store_rejects_stale_generation(tmp_path):
     database = make_database(tmp_path, [feed_item("CVE-2020-0001")])
     entry = _entry(database)
-    database.bump_generation()
+    database.update_sources()
     with pytest.raises(StaleGenerationError):
         database.cache_store(entry)
 
@@ -313,6 +330,8 @@ def test_generation_survives_reopen(tmp_path):
 def test_update_failure_rolls_back(tmp_path):
     feed = write_feed(tmp_path / "f.json", [feed_item("CVE-2020-0001")])
     database = make_database(tmp_path, [feed_item("CVE-2020-0001")])
+    entry = _entry(database)
+    database.cache_store(entry)
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(Exception):
@@ -324,4 +343,6 @@ def test_update_failure_rolls_back(tmp_path):
     with pytest.raises(Exception):
         database.update_sources([feed2, str(bad)], [], [])
     assert database.record_count() == 1
-    assert database.get_record("CVE-2020-0002") is None
+    assert "CVE-2020-0002" not in database.snapshot().records
+    # the cache purge rolled back with the rest
+    assert database.cache_lookup(entry.fingerprint, 1) is not None

@@ -1,6 +1,7 @@
 """Scan execution: caching behavior, job execution, accuracy, reports."""
 
 import json
+import sqlite3
 import string
 
 import pytest
@@ -10,11 +11,11 @@ from hypothesis import strategies as st
 from invscan.cpe import format_cpe_uri
 from invscan.db import VulnDatabase
 from invscan.engine import (EngineError, JobState, ScanJob, compute_accuracy,
-                            execute_job, report_from_dict, report_to_dict,
-                            scan_pvc)
+                            execute_job, report_to_dict, scan_pvc)
 from invscan.generation import generate_cpes
-from invscan.inventory import Inventory, Pvc, PvcKind, fingerprint_pvc
-from conftest import brute_force_match, feed_item, make_database
+from invscan.inventory import Inventory, Pvc, PvcKind, fingerprint_pvc, pvc_from_dict
+from conftest import (brute_force_match, feed_item, make_database, write_exploit_map,
+                      write_feed)
 
 # Small application catalog: pretty inventory name, publisher string, and
 # the dictionary vendor/product pair its CPEs should land on.
@@ -107,10 +108,25 @@ def test_rescan_after_generation_bump_misses(tmp_path):
     pvc = catalog_pvc(2)
     first = scan_pvc(pvc, database)
     assert scan_pvc(pvc, database).cache_hit is True
-    database.bump_generation()
+    database.update_sources()
     rescan = scan_pvc(pvc, database)
     assert rescan.cache_hit is False
     assert rescan.cve_ids == first.cve_ids
+
+
+def test_update_clears_cache_then_rescan_misses_then_hits(tmp_path):
+    database = catalog_database(tmp_path)
+    inventory = catalog_inventory(5)
+    execute_job(ScanJob(token="t1", client_id="c1", inventory=inventory), database)
+    database.update_sources()
+    with sqlite3.connect(str(tmp_path / "db.sqlite")) as conn:
+        assert conn.execute("SELECT COUNT(*) FROM cache").fetchone() == (0,)
+    rescan = execute_job(ScanJob(token="t2", client_id="c1", inventory=inventory),
+                         database)
+    assert not any(result.cache_hit for result in rescan.results)
+    again = execute_job(ScanJob(token="t3", client_id="c1", inventory=inventory),
+                        database)
+    assert all(result.cache_hit for result in again.results)
 
 
 def test_scan_requires_initialized_database(tmp_path):
@@ -212,10 +228,10 @@ def test_job_matches_oracle_cold_cached_and_after_bump(shared_catalog_db, pvcs):
             assert result.cve_ids == brute_force_match(snapshot.records, cpes)
         return [result.cache_hit for result in report.results]
 
-    database.bump_generation()  # every example starts cold
+    database.update_sources()  # every example starts cold
     assert not any(scan_and_check())
     assert all(scan_and_check())
-    database.bump_generation()
+    database.update_sources()
     assert not any(scan_and_check())
 
 
@@ -229,10 +245,10 @@ class _FaultyLookups:
     def __getattr__(self, name):
         return getattr(self._database, name)
 
-    def cache_lookup(self, fingerprint):
+    def cache_lookup(self, fingerprint, generation):
         if fingerprint in self._poisoned:
             raise RuntimeError("injected lookup failure")
-        return self._database.cache_lookup(fingerprint)
+        return self._database.cache_lookup(fingerprint, generation)
 
 
 def test_one_component_failing_never_aborts_siblings(tmp_path):
@@ -262,7 +278,7 @@ def test_summary_recomputable_from_results(tmp_path):
     best = None
     exploitable = 0
     for cve_id in union:
-        record = database.get_record(cve_id)
+        record = database.snapshot().records[cve_id]
         score = record.max_cvss()
         if score is not None and (best is None or score > best):
             best = score
@@ -348,25 +364,23 @@ def test_report_round_trip(tmp_path):
     inventory = catalog_inventory(6)
     job = ScanJob(token="t-rt", client_id="c1", inventory=inventory)
     report = execute_job(job, database)
-    doc = json.loads(json.dumps(report_to_dict(report, database)))
-    restored = report_from_dict(doc)
-    assert restored.token == report.token
-    assert restored.total_cves == report.total_cves
-    assert restored.max_cvss == report.max_cvss
-    assert restored.exploit_count == report.exploit_count
-    assert len(restored.results) == len(report.results)
-    for before, after in zip(report.results, restored.results):
-        assert after.pvc == before.pvc
-        assert after.cve_ids == before.cve_ids
-        assert after.generated_cpes == before.generated_cpes
-        assert after.cache_hit == before.cache_hit
-        assert after.error == before.error
+    doc = json.loads(json.dumps(report_to_dict(report)))
+    assert doc["token"] == report.token
+    assert doc["summary"] == {"total_cves": report.total_cves,
+                              "max_cvss": report.max_cvss,
+                              "exploit_count": report.exploit_count}
+    for result, item in zip(report.results, doc["results"], strict=True):
+        assert pvc_from_dict(item["pvc"]) == result.pvc
+        assert tuple(item["cpes"]) == result.generated_cpes
+        assert {cve["id"] for cve in item["cves"]} == result.cve_ids
+        assert item["cache_hit"] == result.cache_hit
+        assert item.get("error") == result.error
 
 
 def test_report_dict_is_deterministically_sorted(tmp_path):
     database = catalog_database(tmp_path)
     job = ScanJob(token="t-sort", client_id="c1", inventory=catalog_inventory(4))
-    doc = report_to_dict(execute_job(job, database), database)
+    doc = report_to_dict(execute_job(job, database))
     for entry in doc["results"]:
         assert entry["cpes"] == sorted(entry["cpes"])
         ids = [c["id"] for c in entry["cves"]]
@@ -383,7 +397,7 @@ def test_report_dict_cve_details(tmp_path):
     pvc = Pvc(kind=PvcKind.APPLICATION, name="Acme Paint", publisher="Acme")
     job = ScanJob(token="t-det", client_id="c1",
                   inventory=Inventory(target_label="t", pvcs=(pvc,)))
-    doc = report_to_dict(execute_job(job, database), database)
+    doc = report_to_dict(execute_job(job, database))
     entries = {c["id"]: c for c in doc["results"][0]["cves"]}
     assert entries["CVE-2019-0001"]["cvss"] == 9.8
     assert entries["CVE-2019-0001"]["exploit"] is True
@@ -398,9 +412,28 @@ def test_report_error_key_round_trips(tmp_path):
     poisoned = {fingerprint_pvc(inventory.pvcs[0])}
     job = ScanJob(token="t-err", client_id="c1", inventory=inventory)
     report = execute_job(job, _FaultyLookups(database, poisoned))
-    doc = report_to_dict(report)
-    assert "error" in doc["results"][0]
+    doc = json.loads(json.dumps(report_to_dict(report)))
+    assert doc["results"][0]["error"] == report.results[0].error
     assert "error" not in doc["results"][1]
-    restored = report_from_dict(doc)
-    assert restored.results[0].error == report.results[0].error
-    assert restored.results[1].error is None
+
+
+def test_report_reads_the_generation_it_was_scanned_on(tmp_path):
+    database = catalog_database(tmp_path)
+    job = ScanJob(token="t-gen", client_id="c1",
+                  inventory=Inventory(target_label="t", pvcs=(catalog_pvc(1),)))
+    report = execute_job(job, database)
+    # An update lands between the scan and serialization: it re-scores a
+    # matched CVE and links an exploit to it.
+    delta = write_feed(tmp_path / "delta.json", [
+        feed_item("CVE-2019-1001", cpes=["cpe:/a:adobe:flash_player"], cvss3=9.9)])
+    links = write_exploit_map(tmp_path / "delta.csv", [("EDB-200", "CVE-2019-1001")])
+    database.update_sources([delta], exploit_paths=[links])
+    live = database.snapshot().records["CVE-2019-1001"]
+    assert live.max_cvss() == 9.9 and live.exploit_available
+    doc = report_to_dict(report)
+    entries = {c["id"]: c for c in doc["results"][0]["cves"]}
+    assert entries == {
+        "CVE-2019-1001": {"id": "CVE-2019-1001", "cvss": 6.0, "exploit": False},
+        "CVE-2019-2001": {"id": "CVE-2019-2001", "cvss": 4.0, "exploit": False},
+    }
+    assert doc["summary"] == {"total_cves": 2, "max_cvss": 6.0, "exploit_count": 0}

@@ -340,12 +340,23 @@ def test_accepted_sequence_numbers_strictly_increase(sns):
     assert accepted == expected
 
 
+def test_next_send_sn_strictly_increases():
+    cred = client_credential()
+    values = [cred.next_send_sn() for _ in range(50)]
+    assert all(b > a for a, b in zip(values, values[1:]))
+    # A clock stuck in the past still cannot repeat a sequence number.
+    cred.send_sn = 2**63
+    assert cred.next_send_sn() == 2**63 + 1
+
+
 def test_send_counter_is_separate_from_receive_counter():
     cred = client_credential()
-    cred.last_sn = 500
-    assert cred.next_send_sn() == 1
-    assert cred.next_send_sn() == 2
-    assert cred.last_sn == 500
+    cred.last_sn = 2**63
+    first = cred.next_send_sn()
+    second = cred.next_send_sn()
+    assert first < second < 2**63  # clock-based, not above the receive counter
+    assert cred.send_sn == second
+    assert cred.last_sn == 2**63
 
 
 # -- MITM echo check -----------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Verification firewall, job queue, result store, blocking, connections."""
 
+import gc
 import io
 import ipaddress
 import json
@@ -8,6 +9,7 @@ import sys
 import threading
 import time
 import types
+import weakref
 
 import pytest
 
@@ -807,10 +809,41 @@ def test_stateless_flow_across_connections(tmp_path):
         [[{"id": "CVE-2019-0001", "exploit": False, "cvss": 7.5}]]
     # Server-originated sequence numbers strictly increase across the
     # whole session, which is what let one view credential open them all.
-    assert view.last_sn == 3
+    assert accept.sn < not_ready.sn < done.sn == view.last_sn
+
+
+def test_replies_open_after_server_restart(tmp_path):
+    """A client that opened replies from one server process also opens
+    those of a fresh one built on the same credentials."""
+    client = client_credential()
+    view = client_credential()
+    first = make_server(tmp_path)
+    reply = wire_exchange(first, [scan_request_frame(client, 1)])[0]
+    assert open_reply(reply, view).msg_type is MsgType.SCAN_ACCEPT
+    restarted = VulnServer(first.config, first.database,
+                           {"vsc-1": client_credential()})
+    reply = wire_exchange(restarted, [scan_request_frame(client, 2)])[0]
+    assert open_reply(reply, view).msg_type is MsgType.SCAN_ACCEPT
 
 
 # -- update runs ------------------------------------------------------------------------
+
+def test_idle_worker_keeps_no_old_snapshot(tmp_path):
+    """A report holds its job's snapshot; once served, nothing keeps it,
+    so an update frees the old generation."""
+    server = make_server(tmp_path, worker_count=1)
+    old = weakref.ref(server.database.snapshot())
+    paint = Pvc(kind=PvcKind.APPLICATION, name="Acme Paint", publisher="Acme")
+    token = server.enqueue_job(Inventory(target_label="host", pvcs=(paint,)), "vsc-1")
+    server.start_workers()
+    try:
+        wait_for_state(server, token, JobState.DONE)
+        server.database.update_sources()
+        gc.collect()
+        assert old() is None
+    finally:
+        server.stop_workers()
+
 
 def test_run_update_globs_directory(tmp_path):
     feeds_dir = tmp_path / "feeds"
@@ -822,6 +855,7 @@ def test_run_update_globs_directory(tmp_path):
     (feeds_dir / "README.md").write_text("not ingested", encoding="utf-8")
     database = VulnDatabase(str(tmp_path / "db.sqlite"))
     assert run_update(database, str(feeds_dir)) == 1
-    assert database.get_record("CVE-2020-0001").exploit_available is True
-    assert "paint" in database.build_generation_index().known_products
+    snapshot = database.snapshot()
+    assert snapshot.records["CVE-2020-0001"].exploit_available is True
+    assert "paint" in snapshot.gen_index.known_products
     assert run_update(database, str(feeds_dir)) == 2
