@@ -15,9 +15,9 @@ import socket
 import time
 from dataclasses import dataclass
 
-from .protocol import (DEFAULT_DELTA_T, ClientCredential, FrameError, MsgType,
-                       OpenedMessage, ProtocolViolation, client_check_echo,
-                       decode_frame, encode_frame, open_message, read_frame,
+from .protocol import (ClientCredential, FrameError, MsgType, OpenedMessage,
+                       ProtocolViolation, client_check_echo, decode_frame,
+                       encode_frame, open_message, read_frame,
                        result_request_body, scan_request_body, seal_message)
 from .inventory import inventory_to_dict, load_inventory
 
@@ -50,7 +50,6 @@ class ClientConfig:
     poll_interval: float = DEFAULT_POLL_INTERVAL
     max_wait: float = DEFAULT_MAX_WAIT
     retries: int = DEFAULT_RETRIES
-    delta_t: float = DEFAULT_DELTA_T
 
     def __post_init__(self) -> None:
         if not self.client_id or not self.secret:
@@ -113,7 +112,7 @@ def _exchange(config: ClientConfig, cred: ClientCredential, transport,
         raise TransportError(f"no response after {config.retries} attempts: {last_error}")
     try:
         reply = decode_frame(raw)
-        return open_message(reply, cred, time.time(), config.delta_t)
+        return open_message(reply, cred, time.time())
     except (FrameError, ProtocolViolation) as exc:
         raise TransportError(f"unusable server reply: {exc}") from exc
 

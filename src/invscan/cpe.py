@@ -62,9 +62,6 @@ class CpeName:
         return (self.vendor, self.product, self.version,
                 self.update, self.edition, self.language)
 
-    def uri(self) -> str:
-        return format_cpe_uri(self)
-
 
 _COMPONENT_FIELDS = ("vendor", "product", "version", "update", "edition", "language")
 

@@ -4,7 +4,8 @@ Backed by a single sqlite file. Data changes only through update_sources,
 one transaction that ingests the sources, bumps the generation counter
 and clears the scan cache; the snapshot is then rebuilt. Readers work
 against that immutable per-generation snapshot (records, match index,
-generation index).
+generation index). An update made through another connection to the
+same file (another process) is picked up by the next snapshot() call.
 """
 
 from __future__ import annotations
@@ -205,8 +206,8 @@ def _extract_cvss(impact: dict) -> list[tuple[str, float]]:
 class VulnDatabase:
     """Single-file store plus the per-generation in-memory snapshot.
 
-    Updates and cache access take the instance lock; readers use the
-    immutable snapshot and never block each other.
+    Updates, cache access and the generation check in snapshot() take
+    the instance lock; readers use the immutable snapshot.
     """
 
     def __init__(self, path: str = ":memory:") -> None:
@@ -227,10 +228,15 @@ class VulnDatabase:
 
     @property
     def generation(self) -> int:
-        return self._snapshot.generation
+        return self.snapshot().generation
 
     def snapshot(self) -> DbSnapshot:
-        return self._snapshot
+        """The snapshot of the file's current generation, rebuilt first
+        when another connection has updated the file."""
+        with self._lock:
+            if self._read_generation() != self._snapshot.generation:
+                self._snapshot = self._build_snapshot()
+            return self._snapshot
 
     def _read_generation(self) -> int:
         row = self._conn.execute(
@@ -403,27 +409,27 @@ class VulnDatabase:
 
     def cache_store(self, *entries: PvcCacheEntry) -> None:
         """Persist cache entries in one transaction; rejects them all when
-        any is from another generation."""
-        with self._lock:
+        any is from another generation than the file's, read inside the
+        transaction so no update can land in between."""
+        with self._lock, self._conn:
+            self._conn.execute("BEGIN IMMEDIATE")
+            current = self._read_generation()
             for entry in entries:
-                if entry.generation != self._snapshot.generation:
+                if entry.generation != current:
                     raise StaleGenerationError(
-                        f"cache entry generation {entry.generation} != "
-                        f"current {self._snapshot.generation}"
-                    )
-            with self._conn:
-                self._conn.executemany(
-                    "INSERT INTO cache (fingerprint, generation, cve_ids, cpes) "
-                    "VALUES (?,?,?,?) ON CONFLICT(fingerprint) DO UPDATE SET "
-                    "generation=excluded.generation, cve_ids=excluded.cve_ids, "
-                    "cpes=excluded.cpes",
-                    [(
-                        entry.fingerprint.hex(),
-                        entry.generation,
-                        json.dumps(sorted(entry.cve_ids)),
-                        json.dumps(list(entry.generated_cpes)),
-                    ) for entry in entries],
-                )
+                        f"cache entry generation {entry.generation} != current {current}")
+            self._conn.executemany(
+                "INSERT INTO cache (fingerprint, generation, cve_ids, cpes) "
+                "VALUES (?,?,?,?) ON CONFLICT(fingerprint) DO UPDATE SET "
+                "generation=excluded.generation, cve_ids=excluded.cve_ids, "
+                "cpes=excluded.cpes",
+                [(
+                    entry.fingerprint.hex(),
+                    entry.generation,
+                    json.dumps(sorted(entry.cve_ids)),
+                    json.dumps(list(entry.generated_cpes)),
+                ) for entry in entries],
+            )
 
     def record_count(self) -> int:
-        return len(self._snapshot.records)
+        return len(self.snapshot().records)

@@ -10,7 +10,6 @@ same generation as its results and summary.
 
 from __future__ import annotations
 
-import enum
 import logging
 import threading
 import time
@@ -53,44 +52,23 @@ class ScanReport:
     snapshot: DbSnapshot = field(repr=False, compare=False)
 
 
-class JobState(enum.Enum):
-    QUEUED = "queued"
-    RUNNING = "running"
-    DONE = "done"
-    FAILED = "failed"
-
-
-_ALLOWED_TRANSITIONS = {
-    JobState.QUEUED: {JobState.RUNNING},
-    JobState.RUNNING: {JobState.DONE, JobState.FAILED},
-    JobState.DONE: set(),
-    JobState.FAILED: set(),
-}
-
-
 @dataclass
 class ScanJob:
-    """A queued scan: token, owner, inventory, lifecycle state.
+    """A queued scan: token, owner, inventory, and once finished its
+    report document (None when the job raised).
 
     enqueued_at is on the time.monotonic clock; finished is set once the
-    job reaches DONE or FAILED.
+    job has run; report is set before it.
     """
 
     token: str
     client_id: str
     inventory: Inventory
-    state: JobState = JobState.QUEUED
     enqueued_at: float = field(default_factory=time.monotonic)
     polls_used: int = 0
+    report: dict | None = field(default=None, repr=False)
     finished: threading.Event = field(default_factory=threading.Event,
                                       repr=False, compare=False)
-
-    def transition(self, new_state: JobState) -> None:
-        if new_state not in _ALLOWED_TRANSITIONS[self.state]:
-            raise ValueError(f"illegal job transition {self.state} -> {new_state}")
-        self.state = new_state
-        if new_state in (JobState.DONE, JobState.FAILED):
-            self.finished.set()
 
 
 def _scan(pvc: Pvc, database: VulnDatabase,

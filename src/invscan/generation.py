@@ -43,8 +43,6 @@ class GenerationIndex:
 
     known_vendors: frozenset[str] = frozenset()
     known_products: frozenset[str] = frozenset()
-    vendor_to_products: dict[str, frozenset[str]] = field(default_factory=dict)
-    product_to_vendors: dict[str, frozenset[str]] = field(default_factory=dict)
     os_product_to_vendors: dict[str, frozenset[str]] = field(default_factory=dict)
     android_vendors: frozenset[str] = frozenset()
     apple_os_products: frozenset[str] = frozenset()
@@ -56,8 +54,6 @@ def build_index_from_names(names) -> GenerationIndex:
     """Derive a GenerationIndex from an iterable of dictionary CpeNames."""
     vendors: set[str] = set()
     products: set[str] = set()
-    v2p: dict[str, set[str]] = {}
-    p2v: dict[str, set[str]] = {}
     os_p2v: dict[str, set[str]] = {}
     android: set[str] = set()
     apple_os: set[str] = set()
@@ -68,8 +64,6 @@ def build_index_from_names(names) -> GenerationIndex:
         if product:
             products.add(product)
         if vendor and product:
-            v2p.setdefault(vendor, set()).add(product)
-            p2v.setdefault(product, set()).add(vendor)
             if name.part == "o":
                 os_p2v.setdefault(product, set()).add(vendor)
                 if vendor == "apple":
@@ -79,8 +73,6 @@ def build_index_from_names(names) -> GenerationIndex:
     return GenerationIndex(
         known_vendors=frozenset(vendors),
         known_products=frozenset(products),
-        vendor_to_products={v: frozenset(p) for v, p in v2p.items()},
-        product_to_vendors={p: frozenset(v) for p, v in p2v.items()},
         os_product_to_vendors={p: frozenset(v) for p, v in os_p2v.items()},
         android_vendors=frozenset(android),
         apple_os_products=frozenset(apple_os),

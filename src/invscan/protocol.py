@@ -39,6 +39,7 @@ SALT_BYTES = 16
 NONCE_BYTES = 16
 TAG_BYTES = 16
 KDF_ITERATIONS = 100
+# Freshness window for message timestamps, in seconds; both ends use it.
 DEFAULT_DELTA_T = 60.0
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
@@ -279,8 +280,7 @@ def seal_message(cred: ClientCredential, msg_type: MsgType, body: dict,
     )
 
 
-def open_message(env: Envelope, cred: ClientCredential, now: float,
-                 delta_t: float = DEFAULT_DELTA_T) -> OpenedMessage:
+def open_message(env: Envelope, cred: ClientCredential, now: float) -> OpenedMessage:
     """Authenticate and decode one envelope.
 
     Check order is fixed: tag, impersonation, freshness, replay. On
@@ -310,9 +310,9 @@ def open_message(env: Envelope, cred: ClientCredential, now: float,
     if id_b != env.client_id_a:
         raise ImpersonationError(
             f"inner identity {id_b!r} does not match header {env.client_id_a!r}")
-    if abs(now - ts) > delta_t:
+    if abs(now - ts) > DEFAULT_DELTA_T:
         raise StaleTimestampError(
-            f"timestamp {ts} outside [{now - delta_t}, {now + delta_t}]")
+            f"timestamp {ts} outside [{now - DEFAULT_DELTA_T}, {now + DEFAULT_DELTA_T}]")
     if sn <= cred.last_sn:
         raise ReplayError(f"sequence number {sn} not above {cred.last_sn}")
     cred.last_sn = sn

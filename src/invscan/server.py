@@ -3,7 +3,8 @@ result store with poll limits, and exponential violation blocking.
 
 Request handling is stateless: every frame is authenticated, dispatched,
 and answered on its own; the only state that outlives a response is the
-job/report store keyed by token and the per-client credential record.
+job store keyed by token (each job carries its report once finished) and
+the per-client credential record.
 Unauthenticatable traffic is dropped without a reply.
 
 A result request for an unfinished job waits for it (long-poll), so a
@@ -30,15 +31,14 @@ import time
 from dataclasses import dataclass
 
 from .db import VulnDatabase
-from .engine import JobState, ScanJob, execute_job, report_to_dict
+from .engine import ScanJob, execute_job, report_to_dict
 from .inventory import Inventory, InventoryError, inventory_from_dict
-from .protocol import (DEFAULT_DELTA_T, ClientCredential, FrameError,
-                       ImpersonationError, MalformedPayloadError, MsgType,
-                       ReplayError, StaleTimestampError, TagInvalidError,
-                       decode_frame, encode_frame, open_message,
-                       protocol_error_body, read_frame, result_not_ready_body,
-                       result_response_body, scan_accept_body, scan_reject_body,
-                       seal_message)
+from .protocol import (ClientCredential, FrameError, ImpersonationError,
+                       MalformedPayloadError, MsgType, ReplayError,
+                       StaleTimestampError, TagInvalidError, decode_frame,
+                       encode_frame, open_message, protocol_error_body,
+                       read_frame, result_not_ready_body, result_response_body,
+                       scan_accept_body, scan_reject_body, seal_message)
 
 log = logging.getLogger(__name__)
 
@@ -68,6 +68,8 @@ CLIENT_SCAN_BURST = 2
 # Longest a scan request is held for its client's next scan slot; one
 # that would wait longer is refused as busy.
 SCAN_HOLD_MAX_S = 5.0
+# The k-th protocol violation blocks its client for BLOCK_BASE_S**k seconds.
+BLOCK_BASE_S = 2.0
 
 
 @dataclass(frozen=True)
@@ -78,13 +80,12 @@ class FirewallRule:
     action: str
     cidr: ipaddress.IPv4Network | ipaddress.IPv6Network | None = None
     client_id_pattern: str | None = None
-    require_valid_key: bool = False
 
     def __post_init__(self) -> None:
         if self.action not in ("allow", "deny"):
             raise ValueError(f"rule action must be allow or deny, got {self.action!r}")
 
-    def matches(self, source_ip: str, client_id: str, key_valid: bool) -> bool:
+    def matches(self, source_ip: str, client_id: str) -> bool:
         if self.cidr is not None:
             try:
                 if ipaddress.ip_address(source_ip) not in self.cidr:
@@ -94,8 +95,6 @@ class FirewallRule:
         if self.client_id_pattern is not None:
             if not fnmatch.fnmatchcase(client_id, self.client_id_pattern):
                 return False
-        if self.require_valid_key and not key_valid:
-            return False
         return True
 
 
@@ -105,15 +104,14 @@ def rule_from_dict(doc: dict) -> FirewallRule:
         action=str(doc.get("action", "deny")).lower(),
         cidr=ipaddress.ip_network(cidr, strict=False) if cidr else None,
         client_id_pattern=doc.get("client_id"),
-        require_valid_key=bool(doc.get("require_valid_key", False)),
     )
 
 
-def verify_request(source_ip: str, client_id: str, key_valid: bool,
-                   rules) -> tuple[bool, str]:
-    """First matching rule decides; nothing matching means deny."""
+def verify_request(source_ip: str, client_id: str, rules) -> tuple[bool, str]:
+    """First matching rule decides; nothing matching means deny. Runs
+    only on requests whose tag verified."""
     for position, rule in enumerate(rules):
-        if rule.matches(source_ip, client_id, key_valid):
+        if rule.matches(source_ip, client_id):
             if rule.action == "allow":
                 return True, f"allow-rule-{position}"
             return False, REJECT_FIREWALL
@@ -124,11 +122,9 @@ def verify_request(source_ip: str, client_id: str, key_valid: bool,
 class ServerConfig:
     port: int = 4870
     db_path: str = "invscan.db"
-    delta_t: float = DEFAULT_DELTA_T
     worker_count: int = 2
     queue_capacity: int = 64
     max_polls_per_token: int = 100
-    block_base_seconds: float = 2.0
     firewall_rules: tuple[FirewallRule, ...] = ()
     credentials_path: str | None = None
 
@@ -136,18 +132,25 @@ class ServerConfig:
         for label in ("worker_count", "queue_capacity", "max_polls_per_token"):
             if getattr(self, label) < 1:
                 raise ValueError(f"{label} must be >= 1")
-        if self.block_base_seconds <= 0:
-            raise ValueError("block_base_seconds must be positive")
+
+
+_CONFIG_KEYS = frozenset({"port", "db_path", "worker_count", "queue_capacity",
+                          "max_polls_per_token", "credentials_path"})
+_RULE_KEYS = frozenset({"action", "cidr", "client_id"})
 
 
 def config_from_dict(doc: dict) -> ServerConfig:
-    rules = tuple(rule_from_dict(r) for r in doc.get("firewall", []))
-    kwargs = {}
-    for key in ("port", "db_path", "delta_t", "worker_count", "queue_capacity",
-                "max_polls_per_token", "block_base_seconds", "credentials_path"):
-        if key in doc:
-            kwargs[key] = doc[key]
-    return ServerConfig(firewall_rules=rules, **kwargs)
+    """Build the config; unknown keys (such as those of settings since
+    removed) are ignored with one warning naming them."""
+    rule_docs = doc.get("firewall", [])
+    ignored = sorted(doc.keys() - _CONFIG_KEYS - {"firewall"})
+    ignored += sorted({f"firewall.{key}" for rule in rule_docs
+                       for key in rule.keys() - _RULE_KEYS})
+    if ignored:
+        log.warning("ignoring unknown config keys: %s", ", ".join(ignored))
+    kwargs = {key: doc[key] for key in _CONFIG_KEYS if key in doc}
+    return ServerConfig(firewall_rules=tuple(map(rule_from_dict, rule_docs)),
+                        **kwargs)
 
 
 def load_config(path: str) -> ServerConfig:
@@ -194,11 +197,6 @@ def run_update(database: VulnDatabase, feeds_dir: str) -> int:
     return database.update_sources(feeds, dictionaries, exploits)
 
 
-class RateLimitResult:
-    PASS = "pass"
-    BLOCKED = "blocked"
-
-
 class VulnServer:
     """All server behavior behind the wire: verification, queueing,
     execution, result delivery, and blocking policy.
@@ -218,7 +216,6 @@ class VulnServer:
         self._scan_due: dict[str, float] = {}
         self._queue: queue.Queue = queue.Queue(maxsize=config.queue_capacity)
         self._jobs: dict[str, ScanJob] = {}
-        self._reports: dict[str, dict] = {}
         self._store_lock = threading.Lock()
         self._workers: list[threading.Thread] = []
         self._stopping = False
@@ -246,22 +243,15 @@ class VulnServer:
             if job is None:
                 return
             try:
-                job.transition(JobState.RUNNING)
-                # No local keeps the report: it holds the job's snapshot,
-                # which an idle worker would otherwise keep alive across
-                # later updates.
-                doc = report_to_dict(execute_job(job, self.database))
-                with self._store_lock:
-                    self._reports[job.token] = doc
-                job.transition(JobState.DONE)
+                # No local keeps the ScanReport: it holds the job's
+                # snapshot, which would outlive later updates.
+                job.report = report_to_dict(execute_job(job, self.database))
             except Exception:
                 log.exception("job %s failed", job.token)
-                try:
-                    job.transition(JobState.FAILED)
-                except ValueError:
-                    pass
             finally:
-                self._queue.task_done()
+                job.finished.set()
+            # Nor does an idle worker keep its last job, and so its report.
+            del job
 
     # -- job store ---------------------------------------------------------
 
@@ -298,12 +288,10 @@ class VulnServer:
                 expired.append(token)
         for token in expired:
             del self._jobs[token]
-            self._reports.pop(token, None)
 
     def _forget(self, token: str) -> None:
         with self._store_lock:
             self._jobs.pop(token, None)
-            self._reports.pop(token, None)
 
     def fetch_result(self, token: str, client_id: str) -> tuple[MsgType, dict]:
         """Resolve one poll into the response (type, body) to seal.
@@ -324,36 +312,32 @@ class VulnServer:
                 return MsgType.SCAN_REJECT, scan_reject_body(REJECT_POLL_LIMIT)
         if self._workers:
             job.finished.wait(RESULT_WAIT_S)
-        state = job.state
-        if state is JobState.DONE:
-            # The worker stores the report before the job turns DONE.
-            with self._store_lock:
-                report = self._reports.get(token)
-            if report is None:  # delivered to another poll meanwhile
-                return MsgType.SCAN_REJECT, scan_reject_body(REJECT_UNKNOWN_TOKEN)
-            return MsgType.RESULT_RESPONSE, result_response_body(report)
-        if state is JobState.FAILED:
+        if not job.finished.is_set():
+            return MsgType.RESULT_NOT_READY, result_not_ready_body()
+        if job.report is None:
             return MsgType.SCAN_REJECT, scan_reject_body(REJECT_SCAN_FAILED)
-        return MsgType.RESULT_NOT_READY, result_not_ready_body()
+        with self._store_lock:
+            if self._jobs.get(token) is not job:  # delivered to another poll meanwhile
+                return MsgType.SCAN_REJECT, scan_reject_body(REJECT_UNKNOWN_TOKEN)
+        return MsgType.RESULT_RESPONSE, result_response_body(job.report)
 
     # -- blocking policy -----------------------------------------------------
 
-    def apply_rate_limit(self, client_id: str, violation: bool,
-                         now: float) -> tuple[str, float]:
-        """Blocking decision for one request; returns (status, blocked_until).
+    def apply_rate_limit(self, client_id: str, violation: bool, now: float) -> bool:
+        """Blocking decision for one request; True when it is blocked.
 
         A request while blocked never changes the violation count; the
-        k-th violation while unblocked blocks for base**k seconds. The
-        count decays only via reset_block.
+        k-th violation while unblocked blocks for BLOCK_BASE_S**k seconds.
+        The count never decays.
         """
         state = self.credentials[client_id].block_state
         if now < state.blocked_until:
-            return RateLimitResult.BLOCKED, state.blocked_until
+            return True
         if violation:
             state.violations += 1
-            state.blocked_until = now + self.config.block_base_seconds ** state.violations
-            return RateLimitResult.BLOCKED, state.blocked_until
-        return RateLimitResult.PASS, 0.0
+            state.blocked_until = now + BLOCK_BASE_S ** state.violations
+            return True
+        return False
 
     def reserve_scan_slot(self, client_id: str, now: float) -> float | None:
         """Reserve the client's next scan start; returns how long to hold
@@ -374,11 +358,6 @@ class VulnServer:
             self._scan_due[client_id] = max(now, due) + interval
         return hold
 
-    def reset_block(self, client_id: str) -> None:
-        state = self.credentials[client_id].block_state
-        state.violations = 0
-        state.blocked_until = 0.0
-
     # -- request handling ----------------------------------------------------
 
     def run_update(self, feeds_dir: str) -> int:
@@ -394,7 +373,7 @@ class VulnServer:
                   source_ip: str) -> tuple[MsgType, dict, bool]:
         """Route one authenticated message; returns (type, body, close?)."""
         if opened_type is MsgType.SCAN_REQUEST:
-            accepted, reason = verify_request(source_ip, client_id, True,
+            accepted, reason = verify_request(source_ip, client_id,
                                               self.config.firewall_rules)
             if not accepted:
                 log.info("firewall rejected %s from %s: %s", client_id, source_ip, reason)
@@ -451,7 +430,7 @@ class VulnServer:
             with lock:
                 now = time.time()
                 try:
-                    opened = open_message(envelope, cred, now, self.config.delta_t)
+                    opened = open_message(envelope, cred, now)
                 except TagInvalidError as exc:
                     # Anyone can send a bad tag; not attributable, no reply.
                     log.info("dropping %s frame from %s: %s",
@@ -465,8 +444,7 @@ class VulnServer:
                     self.apply_rate_limit(client_id, True, now)
                     reply = (MsgType.PROTOCOL_ERROR, protocol_error_body(exc.code), True)
                 else:
-                    status, _until = self.apply_rate_limit(client_id, False, now)
-                    if status == RateLimitResult.BLOCKED:
+                    if self.apply_rate_limit(client_id, False, now):
                         reply = (MsgType.PROTOCOL_ERROR, protocol_error_body("blocked"), True)
             if reply is None:
                 reply = self._dispatch(opened.msg_type, opened.body, client_id, source_ip)

@@ -17,10 +17,9 @@ import pytest
 
 from invscan.client import (EXIT_OK, ClientConfig, TransportError,
                             poll_result, run_scan)
-from invscan.cpe import CpeName, parse_cpe_uri
+from invscan.cpe import CpeName, format_cpe_uri, parse_cpe_uri
 from invscan.db import VulnDatabase
-from invscan.engine import (JobState, ScanJob, compute_accuracy, execute_job,
-                            report_to_dict)
+from invscan.engine import ScanJob, compute_accuracy, execute_job, report_to_dict
 from invscan.generation import (GenerationIndex, abbreviate_name,
                                 app_product_candidates,
                                 app_version_candidates,
@@ -30,20 +29,19 @@ from invscan.generation import (GenerationIndex, abbreviate_name,
                                 os_vendor_candidates, os_version_candidates,
                                 word_combinations)
 from invscan.inventory import Inventory, Pvc, PvcKind
-from invscan.protocol import (ClientCredential, FrameError,
+from invscan.protocol import (DEFAULT_DELTA_T, ClientCredential, FrameError,
                               ImpersonationError, MsgType, ProtocolViolation,
                               ReplayError, StaleTimestampError,
                               TagInvalidError, decode_frame, encode_frame,
                               open_message, read_frame, scan_request_body,
                               seal_message)
-from invscan.server import (DEFAULT_DELTA_T, FirewallRule, RateLimitResult,
-                            ServerConfig, VulnServer, make_tcp_server,
-                            run_update, verify_request)
+from invscan.server import (FirewallRule, ServerConfig, VulnServer,
+                            make_tcp_server, run_update, verify_request)
 from conftest import (TEST_SALT, TEST_SECRET, brute_force_match,
                       client_credential, feed_item, flip_bit, make_database,
                       write_feed)
 
-_ALLOW_KEYED = (FirewallRule(action="allow", require_valid_key=True),)
+_ALLOW_ALL = (FirewallRule(action="allow"),)
 
 # Application catalog used by the caching and end-to-end checks: the
 # inventory-facing name, the publisher string, and the dictionary
@@ -195,7 +193,7 @@ def test_acceptance_3_matching_oracle_equivalence(tmp_path, announce):
             for n in range(cve_count):
                 names = {_random_cpe(rng) for _ in range(rng.randrange(0, 4))}
                 items.append(feed_item(f"CVE-2021-{10000 + n}",
-                                       cpes=[c.uri() for c in names]))
+                                       cpes=[format_cpe_uri(c) for c in names]))
             database = make_database(tmp_path, items, name=f"seed{seed}")
             try:
                 queries = [_random_cpe(rng) for _ in range(query_count)]
@@ -375,13 +373,8 @@ def _write_inventory(path, pvc_count: int) -> str:
     return str(path)
 
 
-def _wait_done(server: VulnServer, token: str, timeout: float = 30.0) -> None:
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if server._jobs[token].state is JobState.DONE:
-            return
-        time.sleep(0.01)
-    raise AssertionError(f"job {token} never finished")
+def _wait_finished(server: VulnServer, token: str, timeout: float = 30.0) -> None:
+    assert server._jobs[token].finished.wait(timeout), f"job {token} never finished"
 
 
 def _scan_message_counts(server, config, inventory_path) -> tuple[int, int, int]:
@@ -391,7 +384,7 @@ def _scan_message_counts(server, config, inventory_path) -> tuple[int, int, int]
     cred = config.credential()
     code, token = run_scan(config, inventory_path, transport=transport, cred=cred)
     assert code == EXIT_OK and token
-    _wait_done(server, token)
+    _wait_finished(server, token)
     code, report_doc = poll_result(config, token, transport=transport, cred=cred)
     assert code == EXIT_OK and report_doc is not None
     scans = sum(1 for t in transport.sent_types if t is MsgType.SCAN_REQUEST)
@@ -404,7 +397,7 @@ def test_acceptance_6_constant_message_count(tmp_path, announce):
     with announce(6, "message count independent of inventory size"):
         database = _catalog_database(tmp_path)
         server = VulnServer(
-            ServerConfig(firewall_rules=_ALLOW_KEYED, worker_count=2),
+            ServerConfig(firewall_rules=_ALLOW_ALL, worker_count=2),
             database, {"vsc-1": client_credential()})
         config = ClientConfig(server_host="mem", server_port=1,
                               client_id="vsc-1", secret=TEST_SECRET,
@@ -442,13 +435,21 @@ def _one_exchange(server: VulnServer, frame: bytes):
     return decode_frame(reply) if reply is not None else None
 
 
-def test_acceptance_7_server_behavior(tmp_path, announce):
+def test_acceptance_7_server_behavior(tmp_path, announce, monkeypatch):
     with announce(7, "server ordering, intake, firewall, blocking"):
         # FIFO with one worker: completion order equals submission order.
+        completed = []
+
+        def recording(job, database):
+            report = execute_job(job, database)
+            completed.append(job.token)
+            return report
+
+        monkeypatch.setattr("invscan.server.execute_job", recording)
         database = make_database(
             tmp_path, [feed_item("CVE-2019-0001", cpes=["cpe:/a:acme:paint"])],
             name="fifo")
-        fifo = VulnServer(ServerConfig(firewall_rules=_ALLOW_KEYED,
+        fifo = VulnServer(ServerConfig(firewall_rules=_ALLOW_ALL,
                                        worker_count=1, queue_capacity=64),
                           database, {"vsc-1": client_credential()})
         tokens = [fifo.enqueue_job(Inventory(target_label=f"job-{n}", pvcs=()),
@@ -458,15 +459,15 @@ def test_acceptance_7_server_behavior(tmp_path, announce):
         fifo.start_workers()
         try:
             for token in tokens:
-                _wait_done(fifo, token)
+                _wait_finished(fifo, token)
         finally:
             fifo.stop_workers()
-        assert list(fifo._reports) == tokens
+        assert completed == tokens
 
         # 100 concurrent wire submissions, one credential each, against a
         # 64-slot queue with workers still parked: every request must come
         # back as a token or a busy rejection, nothing lost or doubled.
-        many = VulnServer(ServerConfig(firewall_rules=_ALLOW_KEYED,
+        many = VulnServer(ServerConfig(firewall_rules=_ALLOW_ALL,
                                        worker_count=2, queue_capacity=64),
                           database,
                           {f"vsc-{n:03d}": client_credential(f"vsc-{n:03d}")
@@ -495,12 +496,12 @@ def test_acceptance_7_server_behavior(tmp_path, announce):
         many.start_workers()
         try:
             for token in accepted.values():
-                _wait_done(many, token)
+                _wait_finished(many, token)
         finally:
             many.stop_workers()
 
         # Empty rule set: the firewall falls through to deny, whoever asks.
-        assert verify_request("10.0.0.5", "vsc-1", True, ()) == (False, "default-deny")
+        assert verify_request("10.0.0.5", "vsc-1", ()) == (False, "default-deny")
         deny = VulnServer(ServerConfig(firewall_rules=()), database,
                           {"vsc-1": client_credential()})
         sender = client_credential()
@@ -510,16 +511,15 @@ def test_acceptance_7_server_behavior(tmp_path, announce):
         assert opened.body["reason"] == "firewall-deny"
 
         # Violations 1..3 block for 2, 4, then 8 seconds.
-        limiter = VulnServer(ServerConfig(firewall_rules=_ALLOW_KEYED,
-                                          block_base_seconds=2.0),
+        limiter = VulnServer(ServerConfig(firewall_rules=_ALLOW_ALL),
                              database, {"vsc-1": client_credential()})
+        block = limiter.credentials["vsc-1"].block_state
         now = 1000.0
         durations = []
         for _ in range(3):
-            status, until = limiter.apply_rate_limit("vsc-1", True, now)
-            assert status == RateLimitResult.BLOCKED
-            durations.append(until - now)
-            now = until + 0.5
+            assert limiter.apply_rate_limit("vsc-1", True, now)
+            durations.append(block.blocked_until - now)
+            now = block.blocked_until + 0.5
         assert durations == pytest.approx([2.0, 4.0, 8.0])
         database.close()
 
@@ -605,7 +605,7 @@ def test_acceptance_9_loopback_end_to_end(tmp_path, announce):
         }), encoding="utf-8")
 
         server = VulnServer(
-            ServerConfig(firewall_rules=_ALLOW_KEYED, worker_count=2),
+            ServerConfig(firewall_rules=_ALLOW_ALL, worker_count=2),
             database, {"vsc-9": client_credential("vsc-9")})
         tcp = make_tcp_server(server, "127.0.0.1", 0)
         port = tcp.server_address[1]

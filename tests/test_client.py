@@ -333,14 +333,13 @@ class InMemoryServerTransport:
 
 
 def test_client_against_in_process_server(tmp_path):
-    from invscan.engine import JobState
     from invscan.server import FirewallRule, ServerConfig, VulnServer
     from conftest import feed_item, make_database
 
     items = [feed_item("CVE-2019-0001", cpes=["cpe:/a:acme:paint"], cvss3=7.5)]
     database = make_database(tmp_path, items, dictionary=["cpe:/a:acme:paint"])
     config = ServerConfig(
-        firewall_rules=(FirewallRule(action="allow", require_valid_key=True),),
+        firewall_rules=(FirewallRule(action="allow"),),
         worker_count=1)
     server = VulnServer(config, database, {"vsc-1": client_credential()})
     transport = InMemoryServerTransport(server)
@@ -353,10 +352,7 @@ def test_client_against_in_process_server(tmp_path):
 
     server.start_workers()
     try:
-        deadline = time.monotonic() + 5.0
-        while (server._jobs[token].state is not JobState.DONE
-               and time.monotonic() < deadline):
-            time.sleep(0.01)
+        assert server._jobs[token].finished.wait(5.0)
     finally:
         server.stop_workers()
 

@@ -38,7 +38,7 @@ def test_parse_full_uri():
 def test_parse_truncated_uri():
     name = parse_cpe_uri("cpe:/a:adobe:reader")
     assert name.version is None
-    assert name.uri() == "cpe:/a:adobe:reader"
+    assert format_cpe_uri(name) == "cpe:/a:adobe:reader"
 
 
 def test_parse_part_only():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from invscan.cpe import CpeName, parse_cpe_uri
+from invscan.cpe import CpeName, format_cpe_uri, parse_cpe_uri
 from invscan.db import (CveRecord, DbError, PvcCacheEntry, StaleGenerationError,
                         VulnDatabase, cpe23_to_22)
 from invscan.generation import GenerationIndex
@@ -258,7 +258,8 @@ def test_indexed_matching_equals_brute_force(tmp_path, rng):
     items = []
     for i in range(300):
         names = {_random_name(rng, vendors, products) for _ in range(rng.randrange(0, 4))}
-        items.append(feed_item(f"CVE-2021-{10000 + i}", cpes=[n.uri() for n in names]))
+        items.append(feed_item(f"CVE-2021-{10000 + i}",
+                               cpes=[format_cpe_uri(n) for n in names]))
     database = make_database(tmp_path, items)
     for _ in range(20):
         queries = [_random_name(rng, vendors, products) for _ in range(rng.randrange(0, 30))]
@@ -306,6 +307,26 @@ def test_cache_store_rejects_stale_generation(tmp_path):
     database.update_sources()
     with pytest.raises(StaleGenerationError):
         database.cache_store(entry)
+
+
+def test_update_through_another_connection_is_seen(tmp_path):
+    """A daemon's database sees an update made by another process (here
+    a second connection to the same file)."""
+    daemon = make_database(tmp_path, [feed_item("CVE-2020-0001")])
+    pinned = daemon.snapshot()
+    entry = _entry(daemon)
+    updater = VulnDatabase(str(tmp_path / "db.sqlite"))
+    feed = write_feed(tmp_path / "f2.json", [feed_item("CVE-2020-0002")])
+    assert updater.update_sources([feed], [], []) == 2
+    # A result computed on the old generation is not stored into the new.
+    with pytest.raises(StaleGenerationError):
+        daemon.cache_store(entry)
+    snapshot = daemon.snapshot()
+    assert snapshot is not pinned and snapshot.generation == 2
+    assert "CVE-2020-0002" in snapshot.records
+    daemon.cache_store(_entry(daemon))
+    assert updater.cache_lookup(entry.fingerprint, 2) is not None
+    updater.close()
 
 
 def test_generation_counter(tmp_path):

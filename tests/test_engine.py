@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from invscan.cpe import format_cpe_uri
 from invscan.db import VulnDatabase
-from invscan.engine import (EngineError, JobState, ScanJob, compute_accuracy,
-                            execute_job, report_to_dict, scan_pvc)
+from invscan.engine import (EngineError, ScanJob, compute_accuracy, execute_job,
+                            report_to_dict, scan_pvc)
 from invscan.generation import generate_cpes
 from invscan.inventory import Inventory, Pvc, PvcKind, fingerprint_pvc, pvc_from_dict
 from conftest import (brute_force_match, feed_item, make_database, write_exploit_map,
@@ -169,29 +169,17 @@ def test_empty_inventory_empty_report(tmp_path):
     assert report.exploit_count == 0
 
 
-def test_concurrent_equals_sequential_on_large_inventory(tmp_path):
+def test_job_equals_per_component_scans_on_large_inventory(tmp_path):
     inventory = catalog_inventory(1000)
-    concurrent_db = catalog_database(tmp_path, name="conc")
-    sequential_db = catalog_database(tmp_path, name="seq")
+    job_db = catalog_database(tmp_path, name="job")
+    per_component_db = catalog_database(tmp_path, name="pvc")
     job = ScanJob(token="t-big", client_id="c1", inventory=inventory)
-    report = execute_job(job, concurrent_db)
-    sequential = [scan_pvc(pvc, sequential_db) for pvc in inventory.pvcs]
-    assert [r.cve_ids for r in report.results] == [r.cve_ids for r in sequential]
+    report = execute_job(job, job_db)
+    per_component = [scan_pvc(pvc, per_component_db) for pvc in inventory.pvcs]
+    assert [r.cve_ids for r in report.results] == [r.cve_ids for r in per_component]
     assert [r.generated_cpes for r in report.results] == \
-        [r.generated_cpes for r in sequential]
+        [r.generated_cpes for r in per_component]
     assert all(result.error is None for result in report.results)
-
-
-def test_cap_one_equals_default_cap(tmp_path):
-    inventory = catalog_inventory(40)
-    db_a = catalog_database(tmp_path, name="capa")
-    db_b = catalog_database(tmp_path, name="capb")
-    narrow = execute_job(ScanJob(token="t", client_id="c", inventory=inventory),
-                         db_a)
-    wide = execute_job(ScanJob(token="t", client_id="c", inventory=inventory),
-                       db_b)
-    assert [r.cve_ids for r in narrow.results] == [r.cve_ids for r in wide.results]
-    assert narrow.total_cves == wide.total_cves
 
 
 @pytest.fixture(scope="module")
@@ -287,23 +275,6 @@ def test_summary_recomputable_from_results(tmp_path):
     assert report.max_cvss == best
     assert report.exploit_count == exploitable
     assert report.exploit_count >= 1  # the EDB-linked record is in the union
-
-
-def test_job_state_transitions():
-    inventory = Inventory(target_label="t", pvcs=())
-    job = ScanJob(token="t", client_id="c", inventory=inventory)
-    assert job.state is JobState.QUEUED
-    job.transition(JobState.RUNNING)
-    job.transition(JobState.DONE)
-    with pytest.raises(ValueError):
-        job.transition(JobState.RUNNING)
-    fresh = ScanJob(token="t2", client_id="c", inventory=inventory)
-    with pytest.raises(ValueError):
-        fresh.transition(JobState.DONE)
-    fresh.transition(JobState.RUNNING)
-    fresh.transition(JobState.FAILED)
-    with pytest.raises(ValueError):
-        fresh.transition(JobState.DONE)
 
 
 # -- accuracy ------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from invscan.cpe import CpeName, parse_cpe_uri
+from invscan.cpe import CpeName, format_cpe_uri, parse_cpe_uri
 from invscan.generation import (ComponentCandidates, GenerationIndex,
                                 abbreviate_name, app_product_candidates,
                                 app_vendor_candidates, app_version_candidates,
@@ -252,14 +252,14 @@ def _as_tuple(name: CpeName) -> tuple:
 def test_cartesian_singletons():
     c = ComponentCandidates(platforms=frozenset({"a"}), vendors=frozenset({"adobe"}),
                             products=frozenset({"reader"}), versions=frozenset({"9.0"}))
-    assert {n.uri() for n in cartesian_expand(c)} == {"cpe:/a:adobe:reader:9.0"}
+    assert {format_cpe_uri(n) for n in cartesian_expand(c)} == {"cpe:/a:adobe:reader:9.0"}
 
 
 def test_cartesian_with_update():
     c = ComponentCandidates(platforms=frozenset({"o"}), vendors=frozenset({"microsoft"}),
                             products=frozenset({"windows_xp"}),
                             versions=frozenset({"5.1.2600"}), updates=frozenset({"sp3"}))
-    assert {n.uri() for n in cartesian_expand(c)} == {
+    assert {format_cpe_uri(n) for n in cartesian_expand(c)} == {
         "cpe:/o:microsoft:windows_xp:5.1.2600:sp3"}
 
 
@@ -311,7 +311,7 @@ def test_cartesian_truncates_below_empty_update_set():
     c = ComponentCandidates(platforms=frozenset({"a"}), vendors=frozenset({"v"}),
                             products=frozenset({"p"}), versions=frozenset({"1"}),
                             updates=frozenset(), languages=frozenset({"en", "de"}))
-    assert {n.uri() for n in cartesian_expand(c)} == {"cpe:/a:v:p:1"}
+    assert {format_cpe_uri(n) for n in cartesian_expand(c)} == {"cpe:/a:v:p:1"}
 
 
 # -- full generation ------------------------------------------------------------

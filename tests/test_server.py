@@ -15,20 +15,19 @@ import pytest
 
 from invscan import server as server_module
 from invscan.db import VulnDatabase
-from invscan.engine import JobState, execute_job
+from invscan.engine import execute_job
 from invscan.inventory import Inventory, Pvc, PvcKind
 from invscan.protocol import (MsgType, decode_frame, encode_frame,
                               open_message, read_frame, result_request_body,
                               scan_request_body, seal_message)
-from invscan.server import (REPORT_TTL_S, FirewallRule, RateLimitResult,
-                            ServerConfig, VulnServer, add_credential,
-                            config_from_dict, load_config, load_credentials,
-                            make_tcp_server, rule_from_dict, run_update,
-                            verify_request)
+from invscan.server import (REPORT_TTL_S, FirewallRule, ServerConfig,
+                            VulnServer, add_credential, config_from_dict,
+                            load_config, load_credentials, make_tcp_server,
+                            rule_from_dict, run_update, verify_request)
 from conftest import (client_credential, feed_item, make_database,
                       write_dictionary, write_exploit_map, write_feed)
 
-_ALLOW_KEYED = (FirewallRule(action="allow", require_valid_key=True),)
+_ALLOW_ALL = (FirewallRule(action="allow"),)
 
 _INVENTORY_DOC = {
     "target_label": "host-1",
@@ -36,7 +35,7 @@ _INVENTORY_DOC = {
 }
 
 
-def make_server(tmp_path, *, rules=_ALLOW_KEYED, credentials=None,
+def make_server(tmp_path, *, rules=_ALLOW_ALL, credentials=None,
                 **overrides) -> VulnServer:
     items = [feed_item("CVE-2019-0001", cpes=["cpe:/a:acme:paint"], cvss3=7.5)]
     database = make_database(tmp_path, items, dictionary=["cpe:/a:acme:paint"])
@@ -81,41 +80,34 @@ def result_request_frame(cred, sn, token) -> bytes:
     return encode_frame(env)
 
 
-def wait_for_state(server, token, state, timeout=5.0) -> None:
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if server._jobs[token].state is state:
-            return
-        time.sleep(0.005)
-    raise AssertionError(f"job {token} never reached {state}")
+def wait_finished(server, token, timeout=5.0) -> None:
+    assert server._jobs[token].finished.wait(timeout), f"job {token} never finished"
 
 
 # -- verification firewall ------------------------------------------------------
 
 def test_allow_rule_with_cidr_and_key():
+    # The firewall sees only requests whose key (tag) already verified.
     rules = (FirewallRule(action="allow",
-                          cidr=ipaddress.ip_network("10.0.0.0/8"),
-                          require_valid_key=True),)
-    accepted, _ = verify_request("10.1.2.3", "vsc-1", True, rules)
+                          cidr=ipaddress.ip_network("10.0.0.0/8")),)
+    accepted, _ = verify_request("10.1.2.3", "vsc-1", rules)
     assert accepted
-    accepted, reason = verify_request("11.1.2.3", "vsc-1", True, rules)
-    assert not accepted and reason == "default-deny"
-    accepted, reason = verify_request("10.1.2.3", "vsc-1", False, rules)
+    accepted, reason = verify_request("11.1.2.3", "vsc-1", rules)
     assert not accepted and reason == "default-deny"
 
 
 def test_empty_rule_list_denies_everything():
-    accepted, reason = verify_request("127.0.0.1", "anyone", True, ())
+    accepted, reason = verify_request("127.0.0.1", "anyone", ())
     assert not accepted
     assert reason == "default-deny"
 
 
 def test_first_matching_rule_wins():
     rules = (FirewallRule(action="deny", client_id_pattern="evil*"),
-             FirewallRule(action="allow", require_valid_key=True))
-    accepted, reason = verify_request("10.0.0.1", "evil-7", True, rules)
+             FirewallRule(action="allow"))
+    accepted, reason = verify_request("10.0.0.1", "evil-7", rules)
     assert not accepted and reason == "firewall-deny"
-    accepted, _ = verify_request("10.0.0.1", "good-1", True, rules)
+    accepted, _ = verify_request("10.0.0.1", "good-1", rules)
     assert accepted
 
 
@@ -126,13 +118,12 @@ def test_rule_requires_known_action():
 
 def test_rule_from_dict():
     rule = rule_from_dict({"action": "Allow", "cidr": "192.168.1.0/24",
-                           "client_id": "vsc-*", "require_valid_key": True})
+                           "client_id": "vsc-*"})
     assert rule.action == "allow"
-    assert rule.matches("192.168.1.9", "vsc-1", True)
-    assert not rule.matches("192.168.2.9", "vsc-1", True)
-    assert not rule.matches("192.168.1.9", "other", True)
-    assert not rule.matches("192.168.1.9", "vsc-1", False)
-    assert not rule.matches("not-an-ip", "vsc-1", True)
+    assert rule.matches("192.168.1.9", "vsc-1")
+    assert not rule.matches("192.168.2.9", "vsc-1")
+    assert not rule.matches("192.168.1.9", "other")
+    assert not rule.matches("not-an-ip", "vsc-1")
 
 
 # -- configuration ---------------------------------------------------------------
@@ -144,15 +135,12 @@ def test_config_validates_caps():
         ServerConfig(queue_capacity=0)
     with pytest.raises(ValueError):
         ServerConfig(max_polls_per_token=0)
-    with pytest.raises(ValueError):
-        ServerConfig(block_base_seconds=0.0)
 
 
 def test_config_defaults():
     config = ServerConfig()
     assert config.port == 4870
     assert config.max_polls_per_token == 100
-    assert config.block_base_seconds == 2.0
     assert config.firewall_rules == ()
 
 
@@ -162,7 +150,7 @@ def test_load_config_file(tmp_path):
         "worker_count": 3,
         "firewall": [
             {"action": "deny", "client_id": "evil*"},
-            {"action": "allow", "cidr": "10.0.0.0/8", "require_valid_key": True},
+            {"action": "allow", "cidr": "10.0.0.0/8"},
         ],
     }
     path = tmp_path / "server.json"
@@ -174,6 +162,22 @@ def test_load_config_file(tmp_path):
     assert config.firewall_rules[0].action == "deny"
     assert config.firewall_rules[1].cidr == ipaddress.ip_network("10.0.0.0/8")
     assert config_from_dict({}).port == 4870
+
+
+def test_unknown_config_keys_load_with_one_warning(caplog):
+    # Files written for older versions carry settings since removed.
+    doc = {"port": 9999, "delta_t": 60.0, "pvc_concurrency_cap": 8,
+           "firewall": [{"action": "allow", "note": "office"}]}
+    with caplog.at_level("WARNING", logger="invscan.server"):
+        config = config_from_dict(doc)
+    assert config.port == 9999
+    assert config.firewall_rules == (FirewallRule(action="allow"),)
+    assert [rec.getMessage() for rec in caplog.records] == [
+        "ignoring unknown config keys: delta_t, pvc_concurrency_cap, firewall.note"]
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="invscan.server"):
+        config_from_dict({"port": 1})
+    assert caplog.records == []
 
 
 # -- credential provisioning ------------------------------------------------------
@@ -199,7 +203,21 @@ def test_add_credential_rejects_duplicate(tmp_path):
 
 # -- job queue and result store ----------------------------------------------------
 
-def test_fifo_completion_order_with_single_worker(tmp_path):
+def record_completions(monkeypatch) -> list[str]:
+    """Make the workers append each job's token once its scan is done."""
+    completed = []
+
+    def recording(job, database):
+        report = execute_job(job, database)
+        completed.append(job.token)
+        return report
+
+    monkeypatch.setattr("invscan.server.execute_job", recording)
+    return completed
+
+
+def test_fifo_completion_order_with_single_worker(tmp_path, monkeypatch):
+    completed = record_completions(monkeypatch)
     server = make_server(tmp_path, worker_count=1, queue_capacity=64)
     tokens = [server.enqueue_job(empty_inventory(f"job-{n}"), "vsc-1")
               for n in range(50)]
@@ -207,12 +225,11 @@ def test_fifo_completion_order_with_single_worker(tmp_path):
     server.start_workers()
     try:
         for token in tokens:
-            wait_for_state(server, token, JobState.DONE)
+            wait_finished(server, token)
     finally:
         server.stop_workers()
-    # The report store fills in completion order; FIFO means it equals
-    # the enqueue order.
-    assert list(server._reports) == tokens
+    # FIFO: completion order equals the enqueue order.
+    assert completed == tokens
 
 
 def test_queue_full_rolls_back(tmp_path):
@@ -241,7 +258,7 @@ def test_fetch_result_not_ready_then_done(tmp_path):
     assert body == {}
     server.start_workers()
     try:
-        wait_for_state(server, token, JobState.DONE)
+        wait_finished(server, token)
     finally:
         server.stop_workers()
     msg_type, body = server.fetch_result(token, "vsc-1")
@@ -288,9 +305,10 @@ def test_failed_job_reports_scan_failed(tmp_path, monkeypatch):
     token = server.enqueue_job(empty_inventory(), "vsc-1")
     server.start_workers()
     try:
-        wait_for_state(server, token, JobState.FAILED)
+        wait_finished(server, token)
     finally:
         server.stop_workers()
+    assert server._jobs[token].report is None
     msg_type, body = server.fetch_result(token, "vsc-1")
     assert msg_type is MsgType.SCAN_REJECT
     assert body["reason"] == "scan-failed"
@@ -318,7 +336,7 @@ def test_concurrent_submissions_all_accounted(tmp_path):
     server.start_workers()
     try:
         for token in accepted:
-            wait_for_state(server, token, JobState.DONE)
+            wait_finished(server, token)
     finally:
         server.stop_workers()
 
@@ -327,16 +345,17 @@ def test_concurrent_submissions_all_accounted(tmp_path):
 
 @pytest.fixture
 def gated_jobs(monkeypatch):
-    """Make every job run until the returned event is set."""
-    release = threading.Event()
+    """Make every job set `started`, then wait for `release` to run."""
+    gate = types.SimpleNamespace(started=threading.Event(), release=threading.Event())
 
     def gated(job, database):
-        release.wait(10)
+        gate.started.set()
+        gate.release.wait(10)
         return execute_job(job, database)
 
     monkeypatch.setattr("invscan.server.execute_job", gated)
-    yield release
-    release.set()
+    yield gate
+    gate.release.set()
 
 
 def test_poll_on_running_job_returns_report_when_done(tmp_path, gated_jobs):
@@ -344,14 +363,14 @@ def test_poll_on_running_job_returns_report_when_done(tmp_path, gated_jobs):
     token = server.enqueue_job(empty_inventory(), "vsc-1")
     server.start_workers()
     try:
-        wait_for_state(server, token, JobState.RUNNING)
+        assert gated_jobs.started.wait(5)
         replies = []
         poller = threading.Thread(
             target=lambda: replies.append(server.fetch_result(token, "vsc-1")))
         poller.start()
         time.sleep(0.1)
         assert poller.is_alive() and not replies
-        gated_jobs.set()
+        gated_jobs.release.set()
         poller.join(timeout=5)
         assert not poller.is_alive()
     finally:
@@ -368,12 +387,12 @@ def test_poll_outlasted_by_job_is_not_ready(tmp_path, gated_jobs, monkeypatch):
     token = server.enqueue_job(empty_inventory(), "vsc-1")
     server.start_workers()
     try:
-        wait_for_state(server, token, JobState.RUNNING)
+        assert gated_jobs.started.wait(5)
         msg_type, _ = server.fetch_result(token, "vsc-1")
         assert msg_type is MsgType.RESULT_NOT_READY
         assert server._jobs[token].polls_used == 1
     finally:
-        gated_jobs.set()
+        gated_jobs.release.set()
         server.stop_workers()
 
 
@@ -395,7 +414,7 @@ def test_waiting_poll_leaves_client_free(tmp_path, gated_jobs):
         assert time.monotonic() - began < 2.0
         assert poller.is_alive()
         assert open_reply(accepted[0]).msg_type is MsgType.SCAN_ACCEPT
-        gated_jobs.set()
+        gated_jobs.release.set()
         poller.join(timeout=5)
         assert not poller.is_alive()
     finally:
@@ -410,12 +429,12 @@ def test_report_delivered_once(tmp_path):
     token = server.enqueue_job(empty_inventory(), "vsc-1")
     server.start_workers()
     try:
-        wait_for_state(server, token, JobState.DONE)
+        wait_finished(server, token)
     finally:
         server.stop_workers()
     first = wire_exchange(server, [result_request_frame(client, 1, token)])
     assert open_reply(first[0], view).msg_type is MsgType.RESULT_RESPONSE
-    assert token not in server._jobs and token not in server._reports
+    assert token not in server._jobs
     second = open_reply(
         wire_exchange(server, [result_request_frame(client, 2, token)])[0], view)
     assert second.msg_type is MsgType.SCAN_REJECT
@@ -452,7 +471,7 @@ def test_concurrent_long_polls_deliver_each_report_once(tmp_path):
         sys.setswitchinterval(interval)
         server.stop_workers()
     assert outcomes == [MsgType.RESULT_RESPONSE] * 30
-    assert server._jobs == {} and server._reports == {}
+    assert server._jobs == {}
 
 
 def test_oversize_report_rejected_and_dropped(tmp_path, monkeypatch):
@@ -462,16 +481,16 @@ def test_oversize_report_rejected_and_dropped(tmp_path, monkeypatch):
     token = server.enqueue_job(Inventory(target_label="big", pvcs=pvcs), "vsc-1")
     server.start_workers()
     try:
-        wait_for_state(server, token, JobState.DONE)
+        wait_finished(server, token)
     finally:
         server.stop_workers()
-    assert len(json.dumps(server._reports[token])) > 2048
+    assert len(json.dumps(server._jobs[token].report)) > 2048
     monkeypatch.setattr("invscan.protocol.MAX_FRAME_BYTES", 2048)
     replies = wire_exchange(server, [result_request_frame(client_credential(), 1, token)])
     opened = open_reply(replies[0])
     assert opened.msg_type is MsgType.SCAN_REJECT
     assert opened.body["reason"] == "report-too-large"
-    assert token not in server._jobs and token not in server._reports
+    assert token not in server._jobs
 
 
 def test_stalled_partial_frame_is_dropped(tmp_path, monkeypatch, caplog):
@@ -500,9 +519,8 @@ def test_uncollected_finished_jobs_expire_on_enqueue(tmp_path, monkeypatch):
     server = make_server(tmp_path)
     finished = server.enqueue_job(empty_inventory(), "vsc-1")
     job = server._jobs[finished]
-    job.transition(JobState.RUNNING)
-    server._reports[finished] = {"token": finished}
-    job.transition(JobState.DONE)
+    job.report = {"token": finished}
+    job.finished.set()
     queued = server.enqueue_job(empty_inventory(), "vsc-1")
     fresh = server.enqueue_job(empty_inventory(), "vsc-1")
     assert set(server._jobs) == {finished, queued, fresh}
@@ -513,23 +531,18 @@ def test_uncollected_finished_jobs_expire_on_enqueue(tmp_path, monkeypatch):
     newest = server.enqueue_job(empty_inventory(), "vsc-1")
     # Only the finished job expired; unfinished ones wait for their worker.
     assert set(server._jobs) == {queued, fresh, newest}
-    assert finished not in server._reports
 
 
 # -- blocking policy ----------------------------------------------------------------
 
 def test_block_durations_grow_exponentially(tmp_path):
     server = make_server(tmp_path)
+    state = server.credentials["vsc-1"].block_state
     now = 1000.0
-    status, until = server.apply_rate_limit("vsc-1", True, now)
-    assert status == RateLimitResult.BLOCKED
-    assert until == pytest.approx(now + 2.0)
-    now = until + 0.5
-    status, until = server.apply_rate_limit("vsc-1", True, now)
-    assert until == pytest.approx(now + 4.0)
-    now = until + 0.5
-    status, until = server.apply_rate_limit("vsc-1", True, now)
-    assert until == pytest.approx(now + 8.0)
+    for seconds in (2.0, 4.0, 8.0):
+        assert server.apply_rate_limit("vsc-1", True, now)
+        assert state.blocked_until == pytest.approx(now + seconds)
+        now = state.blocked_until + 0.5
 
 
 def test_request_while_blocked_changes_nothing(tmp_path):
@@ -539,22 +552,22 @@ def test_request_while_blocked_changes_nothing(tmp_path):
     assert state.violations == 1
     blocked_until = state.blocked_until
     for violation in (False, True):
-        status, until = server.apply_rate_limit("vsc-1", violation, 1001.0)
-        assert status == RateLimitResult.BLOCKED
-        assert until == blocked_until
+        assert server.apply_rate_limit("vsc-1", violation, 1001.0)
+        assert state.blocked_until == blocked_until
         assert state.violations == 1
 
 
 def test_block_expires_and_counter_persists(tmp_path):
     server = make_server(tmp_path)
     server.apply_rate_limit("vsc-1", True, 1000.0)
-    status, _ = server.apply_rate_limit("vsc-1", False, 1003.0)
-    assert status == RateLimitResult.PASS
-    # Clean traffic never decays the counter; only an explicit reset does.
-    assert server.credentials["vsc-1"].block_state.violations == 1
-    server.reset_block("vsc-1")
+    assert not server.apply_rate_limit("vsc-1", False, 1003.0)
+    # Clean traffic never decays the counter: the next violation is the
+    # second and blocks for 4 seconds.
     state = server.credentials["vsc-1"].block_state
-    assert state.violations == 0 and state.blocked_until == 0.0
+    assert state.violations == 1
+    assert server.apply_rate_limit("vsc-1", True, 1004.0)
+    assert state.violations == 2
+    assert state.blocked_until == pytest.approx(1008.0)
 
 
 # -- scan pacing -----------------------------------------------------------------------
@@ -623,7 +636,7 @@ def test_scan_request_happy_path(tmp_path):
     assert opened.msg_type is MsgType.SCAN_ACCEPT
     assert opened.body["echo_id_a"] == "vsc-1"
     token = opened.body["token"]
-    assert server._jobs[token].state is JobState.QUEUED
+    assert not server._jobs[token].finished.is_set()
 
 
 def test_connection_closes_after_scan_accept(tmp_path):
@@ -676,7 +689,8 @@ def test_replay_answered_then_blocked(tmp_path):
     assert opened.msg_type is MsgType.PROTOCOL_ERROR
     assert opened.body["code"] == "blocked"
 
-    server.reset_block("vsc-1")
+    # Once the block has run out, the client is served again.
+    server.credentials["vsc-1"].block_state.blocked_until = 0.0
     accepted = wire_exchange(server, [scan_request_frame(client, sn=3)])
     assert open_reply(accepted[0], view).msg_type is MsgType.SCAN_ACCEPT
 
@@ -796,7 +810,7 @@ def test_stateless_flow_across_connections(tmp_path):
 
     server.start_workers()
     try:
-        wait_for_state(server, token, JobState.DONE)
+        wait_finished(server, token)
     finally:
         server.stop_workers()
 
@@ -837,10 +851,30 @@ def test_idle_worker_keeps_no_old_snapshot(tmp_path):
     token = server.enqueue_job(Inventory(target_label="host", pvcs=(paint,)), "vsc-1")
     server.start_workers()
     try:
-        wait_for_state(server, token, JobState.DONE)
+        wait_finished(server, token)
         server.database.update_sources()
         gc.collect()
         assert old() is None
+    finally:
+        server.stop_workers()
+
+
+def test_delivered_job_is_freed_with_worker_idle(tmp_path):
+    """A job holds its report document; once delivered, neither the
+    store nor the idle worker keeps it."""
+    server = make_server(tmp_path, worker_count=1)
+    token = server.enqueue_job(empty_inventory(), "vsc-1")
+    job = weakref.ref(server._jobs[token])
+    server.start_workers()
+    try:
+        wait_finished(server, token)
+        reply = wire_exchange(server, [result_request_frame(client_credential(), 1, token)])
+        assert open_reply(reply[0]).msg_type is MsgType.RESULT_RESPONSE
+        deadline = time.monotonic() + 5
+        while job() is not None and time.monotonic() < deadline:
+            gc.collect()
+            time.sleep(0.01)
+        assert job() is None
     finally:
         server.stop_workers()
 
