@@ -2,9 +2,15 @@
 
 Backed by a single sqlite file. Data changes only through update_sources,
 one transaction that ingests the sources, bumps the generation counter
-and clears the scan cache; the snapshot is then rebuilt. Readers work
-against that immutable per-generation snapshot (records, match index,
-generation index). An update made through another connection to the
+and clears the scan cache. Each CVE row a feed writes is tagged with the
+new generation, and an update that ingests a dictionary records its
+generation in meta. Readers work against an immutable per-generation
+snapshot (records, match index, generation index). A new snapshot is
+built from the previous one: it re-reads only the CVE rows tagged after
+the previous generation, reuses every other record object and, unless a
+dictionary arrived since, the generation index; the match index is
+rebuilt from the records. Opening a file builds from an empty snapshot,
+so every row is read. An update made through another connection to the
 same file (another process) is picked up by the next snapshot() call.
 """
 
@@ -15,7 +21,8 @@ import logging
 import re
 import sqlite3
 import threading
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 
 from .cpe import (CpeError, CpeName, cpe_matches, format_cpe_uri,
                   normalize_component, parse_cpe_uri)
@@ -32,7 +39,8 @@ CREATE TABLE IF NOT EXISTS meta (
 );
 CREATE TABLE IF NOT EXISTS cve (
     id TEXT PRIMARY KEY,
-    cvss TEXT NOT NULL DEFAULT '[]'
+    cvss TEXT NOT NULL DEFAULT '[]',
+    changed_generation INTEGER NOT NULL DEFAULT 0
 );
 CREATE TABLE IF NOT EXISTS cve_cpe (
     cve_id TEXT NOT NULL,
@@ -213,12 +221,23 @@ class VulnDatabase:
     def __init__(self, path: str = ":memory:") -> None:
         self._lock = threading.RLock()
         self._conn = sqlite3.connect(path, check_same_thread=False)
+        self._conn.executescript(_SCHEMA)
         with self._conn:
-            self._conn.executescript(_SCHEMA)
+            self._conn.execute("BEGIN IMMEDIATE")
+            columns = {row[1] for row in self._conn.execute("PRAGMA table_info(cve)")}
+            # A file written before rows were tagged: every row counts as
+            # unchanged since generation 0, and the columns nothing reads go.
+            if "changed_generation" not in columns:
+                self._conn.execute("ALTER TABLE cve ADD COLUMN "
+                                   "changed_generation INTEGER NOT NULL DEFAULT 0")
+            for legacy in sorted(columns & {"description", "published"}):
+                self._conn.execute(f"ALTER TABLE cve DROP COLUMN {legacy}")
             self._conn.execute(
                 "INSERT OR IGNORE INTO meta (key, value) VALUES ('generation', '0')"
             )
-        self._snapshot = self._build_snapshot()
+        empty = DbSnapshot(generation=-1, records={}, match_index={},
+                           gen_index=build_index_from_names(()))
+        self._snapshot = self._build_snapshot(empty)
 
     def close(self) -> None:
         with self._lock:
@@ -231,43 +250,81 @@ class VulnDatabase:
         return self.snapshot().generation
 
     def snapshot(self) -> DbSnapshot:
-        """The snapshot of the file's current generation, rebuilt first
-        when another connection has updated the file."""
+        """The snapshot of the file's current generation, brought up to
+        date first when another connection has updated the file."""
         with self._lock:
-            if self._read_generation() != self._snapshot.generation:
-                self._snapshot = self._build_snapshot()
+            if self._read_meta("generation") != self._snapshot.generation:
+                self._snapshot = self._build_snapshot(self._snapshot)
             return self._snapshot
 
-    def _read_generation(self) -> int:
-        row = self._conn.execute(
-            "SELECT value FROM meta WHERE key = 'generation'"
-        ).fetchone()
+    def _read_meta(self, key: str) -> int:
+        row = self._conn.execute("SELECT value FROM meta WHERE key = ?", (key,)).fetchone()
         return int(row[0]) if row else 0
 
-    def _build_snapshot(self) -> DbSnapshot:
-        generation = self._read_generation()
-        exploited = {
-            row[0] for row in self._conn.execute(
-                "SELECT DISTINCT e.cve_id FROM exploit_link e JOIN cve c ON c.id = e.cve_id"
-            )
-        }
-        applicability: dict[str, set[CpeName]] = {}
-        for cve_id, uri in self._conn.execute("SELECT cve_id, uri FROM cve_cpe"):
-            try:
-                applicability.setdefault(cve_id, set()).add(parse_cpe_uri(uri))
-            except CpeError:
-                log.warning("dropping stored unparseable URI %r for %s", uri, cve_id)
-        records: dict[str, CveRecord] = {}
-        for cve_id, cvss_json in self._conn.execute("SELECT id, cvss FROM cve"):
-            scores = frozenset(
-                (str(tag), float(score)) for tag, score in json.loads(cvss_json)
-            )
-            records[cve_id] = CveRecord(
-                id=cve_id,
-                cvss_scores=scores,
-                applicability=frozenset(applicability.get(cve_id, set())),
-                exploit_available=cve_id in exploited,
-            )
+    def _write_meta(self, key: str, value: int) -> None:
+        self._conn.execute(
+            "INSERT INTO meta (key, value) VALUES (?,?) "
+            "ON CONFLICT(key) DO UPDATE SET value=excluded.value",
+            (key, str(value)),
+        )
+
+    def _build_snapshot(self, previous: DbSnapshot) -> DbSnapshot:
+        """The snapshot of the file's current generation, built from the
+        previous one.
+
+        Only the CVE rows tagged after previous.generation are read
+        again; every other record object is shared with the previous
+        snapshot, replaced only where its exploit flag changed. The
+        generation index is reused unless a dictionary was ingested
+        after previous.generation. The reads share one transaction, so
+        the snapshot shows exactly one generation.
+        """
+        started = time.perf_counter()
+        since = previous.generation
+        records = dict(previous.records)
+        gen_index = previous.gen_index
+        with self._conn:
+            self._conn.execute("BEGIN")
+            generation = self._read_meta("generation")
+            exploited = {
+                row[0] for row in self._conn.execute(
+                    "SELECT DISTINCT e.cve_id FROM exploit_link e JOIN cve c ON c.id = e.cve_id"
+                )
+            }
+            applicability: dict[str, set[CpeName]] = {}
+            for cve_id, uri in self._conn.execute(
+                    "SELECT cve_id, uri FROM cve_cpe WHERE cve_id IN "
+                    "(SELECT id FROM cve WHERE changed_generation > ?)", (since,)):
+                try:
+                    applicability.setdefault(cve_id, set()).add(parse_cpe_uri(uri))
+                except CpeError:
+                    log.warning("dropping stored unparseable URI %r for %s", uri, cve_id)
+            reread = 0
+            for cve_id, cvss_json in self._conn.execute(
+                    "SELECT id, cvss FROM cve WHERE changed_generation > ?", (since,)):
+                scores = frozenset(
+                    (str(tag), float(score)) for tag, score in json.loads(cvss_json)
+                )
+                records[cve_id] = CveRecord(
+                    id=cve_id,
+                    cvss_scores=scores,
+                    applicability=frozenset(applicability.get(cve_id, set())),
+                    exploit_available=cve_id in exploited,
+                )
+                reread += 1
+            flagged = {cve_id for cve_id, record in records.items() if record.exploit_available}
+            for cve_id in flagged ^ exploited:
+                records[cve_id] = replace(records[cve_id],
+                                          exploit_available=cve_id in exploited)
+            dictionary_changed = self._read_meta("dictionary_generation") > since
+            if dictionary_changed:
+                dict_names = []
+                for (uri,) in self._conn.execute("SELECT uri FROM cpe_dict"):
+                    try:
+                        dict_names.append(parse_cpe_uri(uri))
+                    except CpeError:
+                        log.warning("dropping stored unparseable dictionary URI %r", uri)
+                gen_index = build_index_from_names(dict_names)
         index: dict[tuple[str, str], list[tuple[str, CpeName]]] = {}
         for record in records.values():
             for name in record.applicability:
@@ -276,22 +333,19 @@ class VulnDatabase:
                 else:
                     key = (name.vendor, name.product)
                 index.setdefault(key, []).append((record.id, name))
-        dict_names = []
-        for (uri,) in self._conn.execute("SELECT uri FROM cpe_dict"):
-            try:
-                dict_names.append(parse_cpe_uri(uri))
-            except CpeError:
-                log.warning("dropping stored unparseable dictionary URI %r", uri)
+        log.info("snapshot of generation %d built in %.1f ms: %d records re-read, "
+                 "generation index %s", generation, (time.perf_counter() - started) * 1e3,
+                 reread, "rebuilt" if dictionary_changed else "reused")
         return DbSnapshot(
             generation=generation,
             records=records,
             match_index={k: tuple(v) for k, v in index.items()},
-            gen_index=build_index_from_names(dict_names),
+            gen_index=gen_index,
         )
 
     # -- ingestion -------------------------------------------------------
 
-    def _ingest_feed_locked(self, path: str) -> None:
+    def _ingest_feed_locked(self, path: str, generation: int) -> None:
         with open(path, "r", encoding="utf-8") as fh:
             feed = json.load(fh)
         items = feed.get("CVE_Items", [])
@@ -314,9 +368,10 @@ class VulnDatabase:
                 if name is not None:
                     names.add(format_cpe_uri(name))
             self._conn.execute(
-                "INSERT INTO cve (id, cvss) VALUES (?,?) "
-                "ON CONFLICT(id) DO UPDATE SET cvss=excluded.cvss",
-                (cve_id, json.dumps(sorted(scores))),
+                "INSERT INTO cve (id, cvss, changed_generation) VALUES (?,?,?) "
+                "ON CONFLICT(id) DO UPDATE SET cvss=excluded.cvss, "
+                "changed_generation=excluded.changed_generation",
+                (cve_id, json.dumps(sorted(scores)), generation),
             )
             self._conn.execute("DELETE FROM cve_cpe WHERE cve_id = ?", (cve_id,))
             self._conn.executemany(
@@ -361,6 +416,9 @@ class VulnDatabase:
         """Ingest all sources, bump the generation and clear the scan
         cache, in one transaction; the only way the data changes.
 
+        Each CVE row a feed writes is tagged with the new generation, read
+        inside the transaction so no other writer can take it; ingesting
+        a dictionary records the new generation as the dictionary's.
         Cached results of the old generation are now stale, and no row of
         the new one exists yet: cache_store takes the same lock. Any
         failure rolls the whole update back: the previous generation,
@@ -369,22 +427,22 @@ class VulnDatabase:
         with self._lock:
             try:
                 with self._conn:
+                    self._conn.execute("BEGIN IMMEDIATE")
+                    new_generation = self._read_meta("generation") + 1
                     for path in feed_paths:
-                        self._ingest_feed_locked(path)
+                        self._ingest_feed_locked(path, new_generation)
                     for path in dictionary_paths:
                         self._ingest_dictionary_locked(path)
                     for path in exploit_paths:
                         self._ingest_exploits_locked(path)
-                    new_generation = self._read_generation() + 1
-                    self._conn.execute(
-                        "UPDATE meta SET value = ? WHERE key = 'generation'",
-                        (str(new_generation),),
-                    )
+                    if dictionary_paths:
+                        self._write_meta("dictionary_generation", new_generation)
+                    self._write_meta("generation", new_generation)
                     self._conn.execute("DELETE FROM cache")
             except Exception:
                 log.exception("update failed; generation unchanged")
                 raise
-            self._snapshot = self._build_snapshot()
+            self._snapshot = self._build_snapshot(self._snapshot)
             return new_generation
 
     # -- cache ------------------------------------------------------------
@@ -413,7 +471,7 @@ class VulnDatabase:
         transaction so no update can land in between."""
         with self._lock, self._conn:
             self._conn.execute("BEGIN IMMEDIATE")
-            current = self._read_generation()
+            current = self._read_meta("generation")
             for entry in entries:
                 if entry.generation != current:
                     raise StaleGenerationError(

@@ -11,6 +11,7 @@ same generation as its results and summary.
 from __future__ import annotations
 
 import logging
+import sqlite3
 import threading
 import time
 from dataclasses import dataclass, field
@@ -99,7 +100,8 @@ def _scan(pvc: Pvc, database: VulnDatabase,
 
 def _store(database: VulnDatabase, entries: list[PvcCacheEntry]) -> None:
     """Cache the entries in one transaction. A database update racing the
-    scan just skips the write (the results are still valid for the
+    scan, or another connection's write holding the file past the busy
+    timeout, just skips the write (the results are still valid for the
     snapshot they were computed on)."""
     if not entries:
         return
@@ -107,6 +109,8 @@ def _store(database: VulnDatabase, entries: list[PvcCacheEntry]) -> None:
         database.cache_store(*entries)
     except StaleGenerationError:
         log.info("update raced the scan; %d results not cached", len(entries))
+    except sqlite3.OperationalError as exc:
+        log.info("database busy (%s); %d results not cached", exc, len(entries))
 
 
 def scan_pvc(pvc: Pvc, database: VulnDatabase) -> PvcScanResult:

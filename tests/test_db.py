@@ -1,6 +1,11 @@
 """Feed ingestion, persistence, matching, and the generation-scoped cache."""
 
+import sqlite3
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from invscan.cpe import CpeName, format_cpe_uri, parse_cpe_uri
 from invscan.db import (CveRecord, DbError, PvcCacheEntry, StaleGenerationError,
@@ -367,3 +372,128 @@ def test_update_failure_rolls_back(tmp_path):
     assert "CVE-2020-0002" not in database.snapshot().records
     # the cache purge rolled back with the rest
     assert database.cache_lookup(entry.fingerprint, 1) is not None
+
+
+# -- schema upgrade and incremental snapshots ---------------------------------------
+
+def test_open_upgrades_a_file_of_the_old_schema(tmp_path):
+    path = str(tmp_path / "old.sqlite")
+    conn = sqlite3.connect(path)
+    conn.executescript("""
+        CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
+        CREATE TABLE cve (id TEXT PRIMARY KEY, description TEXT NOT NULL DEFAULT '',
+                          published TEXT, cvss TEXT NOT NULL DEFAULT '[]');
+        CREATE TABLE cve_cpe (cve_id TEXT NOT NULL, uri TEXT NOT NULL,
+                              UNIQUE (cve_id, uri));
+        INSERT INTO meta VALUES ('generation', '3');
+        INSERT INTO cve VALUES ('CVE-2020-0001', 'synthetic record', '2020-01-02',
+                                '[["3.1", 9.8]]');
+        INSERT INTO cve_cpe VALUES ('CVE-2020-0001', 'cpe:/a:adobe:reader');
+    """)
+    conn.close()
+    database = VulnDatabase(path)
+    assert database.generation == 3
+    assert database.snapshot().records == {"CVE-2020-0001": CveRecord(
+        id="CVE-2020-0001", cvss_scores=frozenset({("3.1", 9.8)}),
+        applicability=frozenset({parse_cpe_uri("cpe:/a:adobe:reader")}))}
+    # the upgraded file takes incremental updates
+    feed = write_feed(tmp_path / "f.json", [feed_item("CVE-2020-0001", cvss3=5.0)])
+    assert database.update_sources([feed]) == 4
+    assert database.snapshot().records["CVE-2020-0001"].max_cvss() == 5.0
+    database.close()
+    conn = sqlite3.connect(path)
+    columns = [row[1] for row in conn.execute("PRAGMA table_info(cve)")]
+    conn.close()
+    assert columns == ["id", "cvss", "changed_generation"]
+
+
+def test_update_reuses_unchanged_records_and_logs_the_build(tmp_path, caplog):
+    database = make_database(tmp_path, [
+        feed_item("CVE-2020-0001", cpes=["cpe:/a:adobe:reader"]),
+        feed_item("CVE-2020-0002", cpes=["cpe:/a:acme:paint"])],
+        dictionary=["cpe:/a:adobe:reader"])
+    before = database.snapshot()
+    feed = write_feed(tmp_path / "f2.json", [feed_item("CVE-2020-0002", cvss3=7.0)])
+    links = write_exploit_map(tmp_path / "e2.csv", [("EDB-1", "CVE-2020-0001")])
+    with caplog.at_level("INFO", logger="invscan.db"):
+        database.update_sources([feed], exploit_paths=[links])
+    after = database.snapshot()
+    assert after.gen_index is before.gen_index
+    assert after.records["CVE-2020-0001"].exploit_available
+    assert after.records["CVE-2020-0002"].max_cvss() == 7.0
+    [line] = [m for m in caplog.messages if m.startswith("snapshot")]
+    assert "generation 2" in line and "1 records re-read" in line
+    assert "generation index reused" in line
+    assert "adobe" not in line and "acme" not in line
+    feed = write_feed(tmp_path / "f3.json", [feed_item("CVE-2020-0003")])
+    database.update_sources([feed])
+    # records no update touched are the same objects
+    assert database.snapshot().records["CVE-2020-0002"] is after.records["CVE-2020-0002"]
+
+
+_IDS = [f"CVE-2020-{n:04d}" for n in range(1, 7)]
+# Specific names plus wildcard-bucket names (vendor or product unspecified).
+_APPLICABILITY = ["cpe:/a:acme:paint", "cpe:/a:acme:paint:1.0", "cpe:/a:acme:brush",
+                  "cpe:/o:zeta:zos:2", "cpe:/a:acme", "cpe:/a::paint", "cpe:/o"]
+_DICTIONARY = ["cpe:/a:acme:paint", "cpe:/o:zeta:zos", "cpe:/o:apple:mac_os_x",
+               "cpe:/o:google:android", "cpe:/o:canonical:ubuntu_linux"]
+_QUERIES = [parse_cpe_uri(uri) for uri in _APPLICABILITY + [
+    "cpe:/a:acme:paint:2.0", "cpe:/o:zeta:zos:3", "cpe:/a:other:thing", "cpe:/h"]]
+
+_update = st.fixed_dictionaries({
+    "feed": st.lists(st.tuples(st.sampled_from(_IDS),
+                               st.sampled_from([None, 5.0, 9.8]),
+                               st.sets(st.sampled_from(_APPLICABILITY), max_size=3)),
+                     max_size=3),
+    "dictionary": st.lists(st.sampled_from(_DICTIONARY), max_size=2),
+    "exploits": st.lists(st.tuples(st.sampled_from(["EDB-1", "EDB-2"]),
+                                   st.sampled_from(_IDS)), max_size=2),
+})
+# A step is one update through the long-lived connection, or one or more
+# through a second connection, which the first then catches up on at once.
+_step = st.one_of(st.tuples(st.just("live"), st.lists(_update, min_size=1, max_size=1)),
+                  st.tuples(st.just("other"), st.lists(_update, min_size=1, max_size=3)))
+
+
+def _apply(database, directory: Path, update, serial: int) -> None:
+    feeds = [write_feed(directory / f"{serial}.json", [
+        feed_item(cve_id, cpes=sorted(cpes), cvss3=score)
+        for cve_id, score, cpes in update["feed"]])] if update["feed"] else []
+    dictionaries = ([write_dictionary(directory / f"{serial}.txt", update["dictionary"])]
+                    if update["dictionary"] else [])
+    exploits = ([write_exploit_map(directory / f"{serial}.csv", update["exploits"])]
+                if update["exploits"] else [])
+    database.update_sources(feeds, dictionaries, exploits)
+
+
+def _buckets(snapshot):
+    return {key: set(pairs) for key, pairs in snapshot.match_index.items()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_step, min_size=1, max_size=6))
+def test_incremental_snapshot_equals_a_fresh_open(steps):
+    with tempfile.TemporaryDirectory() as scratch:
+        directory = Path(scratch)
+        path = str(directory / "db.sqlite")
+        live = VulnDatabase(path)
+        other = VulnDatabase(path)
+        serial = 0
+        for via, updates in steps:
+            for update in updates:
+                serial += 1
+                _apply(live if via == "live" else other, directory, update, serial)
+            fresh = VulnDatabase(path)
+            expected = fresh.snapshot()
+            fresh.close()
+            for database in (live, other):
+                got = database.snapshot()
+                assert got.generation == expected.generation == serial
+                assert got.records == expected.records
+                assert got.gen_index == expected.gen_index
+                assert _buckets(got) == _buckets(expected)
+                for query in _QUERIES:
+                    assert (got.match_cpes_to_cves([query])
+                            == brute_force_match(got.records, [query]))
+        live.close()
+        other.close()

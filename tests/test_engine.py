@@ -255,6 +255,33 @@ def test_one_component_failing_never_aborts_siblings(tmp_path):
             assert result.cve_ids
 
 
+def test_job_keeps_its_results_while_another_connection_writes(tmp_path, caplog):
+    """A cache store that cannot get the file's write lock is skipped; the
+    job still returns its results."""
+    database = catalog_database(tmp_path)
+    reference = catalog_database(tmp_path, name="reference")
+    inventory = catalog_inventory(4)
+    expected = execute_job(ScanJob(token="t-ref", client_id="c1", inventory=inventory),
+                           reference)
+    database._conn.execute("PRAGMA busy_timeout = 50")
+    writer = sqlite3.connect(str(tmp_path / "db.sqlite"), isolation_level=None)
+    writer.execute("BEGIN IMMEDIATE")
+    try:
+        with caplog.at_level("INFO", logger="invscan.engine"):
+            report = execute_job(ScanJob(token="t-busy", client_id="c1",
+                                         inventory=inventory), database)
+    finally:
+        writer.execute("ROLLBACK")
+        writer.close()
+    assert all(result.error is None for result in report.results)
+    assert ([result.cve_ids for result in report.results]
+            == [result.cve_ids for result in expected.results])
+    assert any("results not cached" in m for m in caplog.messages)
+    rescan = execute_job(ScanJob(token="t-again", client_id="c1", inventory=inventory),
+                         database)
+    assert not any(result.cache_hit for result in rescan.results)
+
+
 def test_summary_recomputable_from_results(tmp_path):
     database = catalog_database(tmp_path)
     job = ScanJob(token="t-sum", client_id="c1", inventory=catalog_inventory(25))
