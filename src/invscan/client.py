@@ -33,7 +33,9 @@ EXIT_TRANSPORT = 6
 
 DEFAULT_POLL_INTERVAL = 5.0
 DEFAULT_MAX_WAIT = 300.0
-DEFAULT_RETRIES = 3
+# Attempts per request, and each attempt's socket timeout.
+REQUEST_ATTEMPTS = 3
+REQUEST_TIMEOUT_S = 30.0
 
 
 class TransportError(Exception):
@@ -49,7 +51,6 @@ class ClientConfig:
     salt: bytes
     poll_interval: float = DEFAULT_POLL_INTERVAL
     max_wait: float = DEFAULT_MAX_WAIT
-    retries: int = DEFAULT_RETRIES
 
     def __post_init__(self) -> None:
         if not self.client_id or not self.secret:
@@ -64,15 +65,14 @@ class ClientConfig:
 class TcpTransport:
     """One connection per request/response pair."""
 
-    def __init__(self, host: str, port: int, timeout: float = 30.0) -> None:
+    def __init__(self, host: str, port: int) -> None:
         self.host = host
         self.port = port
-        self.timeout = timeout
 
     def request(self, frame: bytes) -> bytes:
         try:
             with socket.create_connection((self.host, self.port),
-                                          timeout=self.timeout) as conn:
+                                          timeout=REQUEST_TIMEOUT_S) as conn:
                 conn.sendall(frame)
                 with conn.makefile("rb") as rfile:
                     response = read_frame(rfile)
@@ -83,8 +83,8 @@ class TcpTransport:
         return response
 
 
-def _exchange(config: ClientConfig, cred: ClientCredential, transport,
-              msg_type: MsgType, body: dict) -> OpenedMessage:
+def _exchange(cred: ClientCredential, transport, msg_type: MsgType,
+              body: dict) -> OpenedMessage:
     """Seal, send with retries, and open the reply.
 
     Every attempt is sealed fresh: a lost response does not prove the
@@ -96,7 +96,7 @@ def _exchange(config: ClientConfig, cred: ClientCredential, transport,
     like no reply at all).
     """
     last_error: Exception | None = None
-    for attempt in range(config.retries):
+    for attempt in range(REQUEST_ATTEMPTS):
         envelope = seal_message(cred, msg_type, body, cred.next_send_sn(),
                                 int(time.time()))
         try:
@@ -105,11 +105,11 @@ def _exchange(config: ClientConfig, cred: ClientCredential, transport,
         except TransportError as exc:
             last_error = exc
             log.warning("request attempt %d/%d failed: %s",
-                        attempt + 1, config.retries, exc)
-            if attempt + 1 < config.retries:
+                        attempt + 1, REQUEST_ATTEMPTS, exc)
+            if attempt + 1 < REQUEST_ATTEMPTS:
                 time.sleep(min(2.0 ** attempt, 5.0))
     else:
-        raise TransportError(f"no response after {config.retries} attempts: {last_error}")
+        raise TransportError(f"no response after {REQUEST_ATTEMPTS} attempts: {last_error}")
     try:
         reply = decode_frame(raw)
         return open_message(reply, cred, time.time())
@@ -131,7 +131,7 @@ def run_scan(config: ClientConfig, inventory_path: str,
     inventory = load_inventory(inventory_path)
     body = scan_request_body(inventory_to_dict(inventory))
     try:
-        opened = _exchange(config, cred, transport, MsgType.SCAN_REQUEST, body)
+        opened = _exchange(cred, transport, MsgType.SCAN_REQUEST, body)
     except TransportError as exc:
         log.error("scan request failed: %s", exc)
         return EXIT_TRANSPORT, None
@@ -164,7 +164,7 @@ def poll_result(config: ClientConfig, token: str, transport=None,
     deadline = time.monotonic() + config.max_wait
     while True:
         try:
-            opened = _exchange(config, cred, transport,
+            opened = _exchange(cred, transport,
                                MsgType.RESULT_REQUEST, result_request_body(token))
         except TransportError as exc:
             log.error("result request failed: %s", exc)

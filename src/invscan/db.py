@@ -12,6 +12,10 @@ dictionary arrived since, the generation index; the match index is
 rebuilt from the records. Opening a file builds from an empty snapshot,
 so every row is read. An update made through another connection to the
 same file (another process) is picked up by the next snapshot() call.
+
+A cache write never fails a scan: cache_store alone decides, and skips a
+batch scanned on a generation the file has left or one that meets a file
+another connection holds past the busy timeout.
 """
 
 from __future__ import annotations
@@ -65,11 +69,7 @@ CREATE TABLE IF NOT EXISTS cache (
 
 
 class DbError(Exception):
-    """Raised for database misuse (bad feed file, stale cache writes)."""
-
-
-class StaleGenerationError(DbError):
-    """A cache write raced a database update; the caller should skip it."""
+    """Raised for database misuse (a malformed CVE id)."""
 
 
 @dataclass(frozen=True)
@@ -94,11 +94,12 @@ class PvcCacheEntry:
     """Cached scan outcome for one component fingerprint: the matched ids
     and the sorted URIs of the generated names.
 
-    Valid only for scans against a snapshot of the same generation.
+    Valid only for scans against a snapshot of the generation it is
+    stored under; cache_store writes it only while the file is still at
+    the generation it was scanned on.
     """
 
     fingerprint: bytes
-    generation: int
     cve_ids: frozenset[str]
     generated_cpes: tuple[str, ...]
 
@@ -244,10 +245,6 @@ class VulnDatabase:
             self._conn.close()
 
     # -- generation / snapshot ------------------------------------------
-
-    @property
-    def generation(self) -> int:
-        return self.snapshot().generation
 
     def snapshot(self) -> DbSnapshot:
         """The snapshot of the file's current generation, brought up to
@@ -460,34 +457,43 @@ class VulnDatabase:
             return None
         return PvcCacheEntry(
             fingerprint=fingerprint,
-            generation=generation,
             cve_ids=frozenset(json.loads(row[0])),
             generated_cpes=tuple(json.loads(row[1])),
         )
 
-    def cache_store(self, *entries: PvcCacheEntry) -> None:
-        """Persist cache entries in one transaction; rejects them all when
-        any is from another generation than the file's, read inside the
-        transaction so no update can land in between."""
-        with self._lock, self._conn:
-            self._conn.execute("BEGIN IMMEDIATE")
-            current = self._read_meta("generation")
-            for entry in entries:
-                if entry.generation != current:
-                    raise StaleGenerationError(
-                        f"cache entry generation {entry.generation} != current {current}")
-            self._conn.executemany(
-                "INSERT INTO cache (fingerprint, generation, cve_ids, cpes) "
-                "VALUES (?,?,?,?) ON CONFLICT(fingerprint) DO UPDATE SET "
-                "generation=excluded.generation, cve_ids=excluded.cve_ids, "
-                "cpes=excluded.cpes",
-                [(
-                    entry.fingerprint.hex(),
-                    entry.generation,
-                    json.dumps(sorted(entry.cve_ids)),
-                    json.dumps(list(entry.generated_cpes)),
-                ) for entry in entries],
-            )
+    def cache_store(self, generation: int, entries: list[PvcCacheEntry]) -> None:
+        """Persist a batch scanned on the given generation in one transaction.
+
+        An empty batch starts no transaction. The batch is skipped with one
+        INFO line, never an exception, when the file's generation (read in
+        the transaction, so no update lands in between) has moved on, or
+        when another connection holds the file past the busy timeout.
+        """
+        if not entries:
+            return
+        with self._lock:
+            try:
+                with self._conn:
+                    self._conn.execute("BEGIN IMMEDIATE")
+                    current = self._read_meta("generation")
+                    if current != generation:
+                        log.info("generation moved from %d to %d during the scan; "
+                                 "%d results not cached", generation, current, len(entries))
+                        return
+                    self._conn.executemany(
+                        "INSERT INTO cache (fingerprint, generation, cve_ids, cpes) "
+                        "VALUES (?,?,?,?) ON CONFLICT(fingerprint) DO UPDATE SET "
+                        "generation=excluded.generation, cve_ids=excluded.cve_ids, "
+                        "cpes=excluded.cpes",
+                        [(
+                            entry.fingerprint.hex(),
+                            generation,
+                            json.dumps(sorted(entry.cve_ids)),
+                            json.dumps(list(entry.generated_cpes)),
+                        ) for entry in entries],
+                    )
+            except sqlite3.OperationalError as exc:
+                log.info("database busy (%s); %d results not cached", exc, len(entries))
 
     def record_count(self) -> int:
         return len(self.snapshot().records)

@@ -3,21 +3,21 @@
 A job walks its inventory in order against the database snapshot pinned
 at job start, so a concurrent update cannot tear its results; one
 component failing never aborts its siblings. The job's cache misses are
-stored together at the end, in one transaction. The report keeps the
-pinned snapshot, so its serialized scores and exploit flags come from the
-same generation as its results and summary.
+handed to the database together at the end, which stores them in one
+transaction or skips them. The report keeps the pinned snapshot, so its
+serialized scores and exploit flags come from the same generation as its
+results and summary.
 """
 
 from __future__ import annotations
 
 import logging
-import sqlite3
 import threading
 import time
 from dataclasses import dataclass, field
 
 from .cpe import format_cpe_uri
-from .db import DbSnapshot, PvcCacheEntry, StaleGenerationError, VulnDatabase
+from .db import DbSnapshot, PvcCacheEntry, VulnDatabase
 from .generation import generate_cpes
 from .inventory import Inventory, Pvc, fingerprint_pvc, pvc_to_dict
 
@@ -90,27 +90,11 @@ def _scan(pvc: Pvc, database: VulnDatabase,
     cpes = frozenset(generate_cpes(pvc, snapshot.gen_index))
     entry = PvcCacheEntry(
         fingerprint=fingerprint,
-        generation=snapshot.generation,
         cve_ids=frozenset(snapshot.match_cpes_to_cves(cpes)),
         generated_cpes=tuple(sorted(format_cpe_uri(name) for name in cpes)),
     )
     return PvcScanResult(pvc=pvc, generated_cpes=entry.generated_cpes,
                          cve_ids=entry.cve_ids, cache_hit=False), entry
-
-
-def _store(database: VulnDatabase, entries: list[PvcCacheEntry]) -> None:
-    """Cache the entries in one transaction. A database update racing the
-    scan, or another connection's write holding the file past the busy
-    timeout, just skips the write (the results are still valid for the
-    snapshot they were computed on)."""
-    if not entries:
-        return
-    try:
-        database.cache_store(*entries)
-    except StaleGenerationError:
-        log.info("update raced the scan; %d results not cached", len(entries))
-    except sqlite3.OperationalError as exc:
-        log.info("database busy (%s); %d results not cached", exc, len(entries))
 
 
 def scan_pvc(pvc: Pvc, database: VulnDatabase) -> PvcScanResult:
@@ -120,9 +104,10 @@ def scan_pvc(pvc: Pvc, database: VulnDatabase) -> PvcScanResult:
     misses do the full generate/match pass and store the outcome under
     the snapshot's generation.
     """
-    result, entry = _scan(pvc, database, database.snapshot())
+    snapshot = database.snapshot()
+    result, entry = _scan(pvc, database, snapshot)
     if entry is not None:
-        _store(database, [entry])
+        database.cache_store(snapshot.generation, [entry])
     return result
 
 
@@ -146,7 +131,7 @@ def _summarize(results, snapshot: DbSnapshot) -> tuple[int, float | None, int]:
 
 def execute_job(job: ScanJob, database: VulnDatabase) -> ScanReport:
     """Scan every component of the job's inventory, in order, against one
-    pinned snapshot; then cache the job's misses in one transaction."""
+    pinned snapshot; then hand the job's misses to the cache in one batch."""
     snapshot = database.snapshot()
     results: list[PvcScanResult] = []
     misses: list[PvcCacheEntry] = []
@@ -165,7 +150,7 @@ def execute_job(job: ScanJob, database: VulnDatabase) -> ScanReport:
         results.append(result)
         if entry is not None:
             misses.append(entry)
-    _store(database, misses)
+    database.cache_store(snapshot.generation, misses)
     total, max_cvss, exploit_count = _summarize(results, snapshot)
     return ScanReport(
         token=job.token,

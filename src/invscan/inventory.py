@@ -16,6 +16,8 @@ import logging
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .cpe import normalize_component
+
 log = logging.getLogger(__name__)
 
 
@@ -49,11 +51,13 @@ class Pvc:
     revision: int | None = None
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise InventoryError("pvc record requires a non-empty name")
+        # A name that normalizes to nothing, such as '  ' or '::',
+        # leaves candidate generation without a vendor or product.
+        if normalize_component(self.name) is None:
+            raise InventoryError(f"pvc name {self.name!r} has no usable characters")
         for part in ("major", "minor", "build", "revision"):
             value = getattr(self, part)
-            if value is not None and (not isinstance(value, int) or value < 0):
+            if value is not None and (type(value) is not int or value < 0):  # bool is an int
                 raise InventoryError(f"pvc field {part} must be a non-negative integer, got {value!r}")
         # NUL can't appear in any real inventory value, and keeping it out
         # lets the canonical serialization reserve a NUL-prefixed sentinel

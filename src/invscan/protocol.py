@@ -303,9 +303,12 @@ def open_message(env: Envelope, cred: ClientCredential, now: float) -> OpenedMes
                 or isinstance(sn, bool) or not isinstance(ts, (int, float))
                 or not isinstance(body, dict)):
             raise MalformedPayloadError("payload field of wrong type")
+        if ts != ts:  # json.loads accepts NaN, which compares with no clock value
+            raise MalformedPayloadError("timestamp is NaN")
+        ts = float(ts)  # OverflowError for an integer past the float range
     except MalformedPayloadError:
         raise
-    except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, UnicodeDecodeError, OverflowError) as exc:
         raise MalformedPayloadError(f"undecodable payload: {exc}") from None
     if id_b != env.client_id_a:
         raise ImpersonationError(

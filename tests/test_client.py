@@ -123,7 +123,7 @@ def test_run_scan_unreachable_server(tmp_path, monkeypatch):
             raise TransportError("connection refused")
 
     transport = DeadTransport()
-    code, token = run_scan(make_config(retries=3), write_inventory(tmp_path),
+    code, token = run_scan(make_config(), write_inventory(tmp_path),
                            transport=transport)
     assert code == EXIT_TRANSPORT
     assert token is None
@@ -148,7 +148,7 @@ def test_run_scan_garbage_reply(tmp_path):
         def request(self, frame):
             return b"\x00\x00\x00\x03abc"
 
-    code, token = run_scan(make_config(retries=1), write_inventory(tmp_path),
+    code, token = run_scan(make_config(), write_inventory(tmp_path),
                            transport=GarbageTransport())
     assert code == EXIT_TRANSPORT
     assert token is None
@@ -225,7 +225,7 @@ def test_poll_transport_failure(monkeypatch):
         def request(self, frame):
             raise TransportError("connection refused")
 
-    code, report = poll_result(make_config(retries=2), "tok-1",
+    code, report = poll_result(make_config(), "tok-1",
                                transport=DeadTransport())
     assert code == EXIT_TRANSPORT
     assert report is None

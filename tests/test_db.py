@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from invscan.cpe import CpeName, format_cpe_uri, parse_cpe_uri
-from invscan.db import (CveRecord, DbError, PvcCacheEntry, StaleGenerationError,
-                        VulnDatabase, cpe23_to_22)
+from invscan.db import CveRecord, DbError, PvcCacheEntry, VulnDatabase, cpe23_to_22
 from invscan.generation import GenerationIndex
 from conftest import (brute_force_match, feed_item, make_database,
                       write_dictionary, write_exploit_map, write_feed)
@@ -274,44 +273,48 @@ def test_indexed_matching_equals_brute_force(tmp_path, rng):
 
 # -- cache and generations --------------------------------------------------------
 
-def _entry(database, fp=b"\x01" * 32, cves=("CVE-2020-0001",)):
-    return PvcCacheEntry(fingerprint=fp, generation=database.generation,
-                         cve_ids=frozenset(cves),
+def _entry():
+    return PvcCacheEntry(fingerprint=b"\x01" * 32, cve_ids=frozenset({"CVE-2020-0001"}),
                          generated_cpes=("cpe:/a:a:b",))
 
 
 def test_cache_store_then_lookup(tmp_path):
     database = make_database(tmp_path, [feed_item("CVE-2020-0001")])
-    entry = _entry(database)
-    database.cache_store(entry)
-    got = database.cache_lookup(entry.fingerprint, database.generation)
+    generation = database.snapshot().generation
+    entry = _entry()
+    database.cache_store(generation, [entry])
+    got = database.cache_lookup(entry.fingerprint, generation)
     assert got is not None
-    assert got.generation == database.generation
+    assert got.fingerprint == entry.fingerprint
     assert got.cve_ids == entry.cve_ids
     assert got.generated_cpes == entry.generated_cpes
 
 
 def test_cache_unknown_fingerprint(tmp_path):
     database = make_database(tmp_path, [feed_item("CVE-2020-0001")])
-    assert database.cache_lookup(b"\xff" * 32, database.generation) is None
+    assert database.cache_lookup(b"\xff" * 32, database.snapshot().generation) is None
 
 
 def test_cache_invalidated_by_generation_bump(tmp_path):
     database = make_database(tmp_path, [feed_item("CVE-2020-0001")])
-    entry = _entry(database)
-    database.cache_store(entry)
+    entry = _entry()
+    database.cache_store(1, [entry])
     database.update_sources()
-    assert database.cache_lookup(entry.fingerprint, database.generation) is None
+    assert database.snapshot().generation == 2
+    assert database.cache_lookup(entry.fingerprint, 2) is None
     # a job pinned to the old generation misses too: the update purged it
-    assert database.cache_lookup(entry.fingerprint, entry.generation) is None
+    assert database.cache_lookup(entry.fingerprint, 1) is None
 
 
-def test_cache_store_rejects_stale_generation(tmp_path):
+def test_cache_store_skips_stale_generation(tmp_path, caplog):
     database = make_database(tmp_path, [feed_item("CVE-2020-0001")])
-    entry = _entry(database)
+    entry = _entry()
     database.update_sources()
-    with pytest.raises(StaleGenerationError):
-        database.cache_store(entry)
+    with caplog.at_level("INFO", logger="invscan.db"):
+        database.cache_store(1, [entry])
+    assert database.cache_lookup(entry.fingerprint, 1) is None
+    assert database.cache_lookup(entry.fingerprint, 2) is None
+    assert any("results not cached" in m for m in caplog.messages)
 
 
 def test_update_through_another_connection_is_seen(tmp_path):
@@ -319,24 +322,25 @@ def test_update_through_another_connection_is_seen(tmp_path):
     a second connection to the same file)."""
     daemon = make_database(tmp_path, [feed_item("CVE-2020-0001")])
     pinned = daemon.snapshot()
-    entry = _entry(daemon)
+    entry = _entry()
     updater = VulnDatabase(str(tmp_path / "db.sqlite"))
     feed = write_feed(tmp_path / "f2.json", [feed_item("CVE-2020-0002")])
     assert updater.update_sources([feed], [], []) == 2
     # A result computed on the old generation is not stored into the new.
-    with pytest.raises(StaleGenerationError):
-        daemon.cache_store(entry)
+    daemon.cache_store(pinned.generation, [entry])
+    assert updater.cache_lookup(entry.fingerprint, 1) is None
+    assert updater.cache_lookup(entry.fingerprint, 2) is None
     snapshot = daemon.snapshot()
     assert snapshot is not pinned and snapshot.generation == 2
     assert "CVE-2020-0002" in snapshot.records
-    daemon.cache_store(_entry(daemon))
+    daemon.cache_store(snapshot.generation, [entry])
     assert updater.cache_lookup(entry.fingerprint, 2) is not None
     updater.close()
 
 
 def test_generation_counter(tmp_path):
     database = VulnDatabase(str(tmp_path / "db.sqlite"))
-    assert database.generation == 0
+    assert database.snapshot().generation == 0
     feed = write_feed(tmp_path / "f.json", [feed_item("CVE-2020-0001")])
     assert database.update_sources([feed], [], []) == 1
     assert database.update_sources([feed], [], []) == 2
@@ -349,20 +353,20 @@ def test_generation_survives_reopen(tmp_path):
     database.update_sources([feed], [], [])
     database.close()
     reopened = VulnDatabase(path)
-    assert reopened.generation == 1
+    assert reopened.snapshot().generation == 1
     assert reopened.record_count() == 1
 
 
 def test_update_failure_rolls_back(tmp_path):
     feed = write_feed(tmp_path / "f.json", [feed_item("CVE-2020-0001")])
     database = make_database(tmp_path, [feed_item("CVE-2020-0001")])
-    entry = _entry(database)
-    database.cache_store(entry)
+    entry = _entry()
+    database.cache_store(1, [entry])
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(Exception):
         database.update_sources([str(bad)], [], [])
-    assert database.generation == 1
+    assert database.snapshot().generation == 1
     assert database.record_count() == 1
     # a second CVE plus the broken file: nothing of it lands
     feed2 = write_feed(tmp_path / "f2.json", [feed_item("CVE-2020-0002")])
@@ -392,7 +396,7 @@ def test_open_upgrades_a_file_of_the_old_schema(tmp_path):
     """)
     conn.close()
     database = VulnDatabase(path)
-    assert database.generation == 3
+    assert database.snapshot().generation == 3
     assert database.snapshot().records == {"CVE-2020-0001": CveRecord(
         id="CVE-2020-0001", cvss_scores=frozenset({("3.1", 9.8)}),
         applicability=frozenset({parse_cpe_uri("cpe:/a:adobe:reader")}))}

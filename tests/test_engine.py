@@ -129,6 +129,22 @@ def test_update_clears_cache_then_rescan_misses_then_hits(tmp_path):
     assert all(result.cache_hit for result in again.results)
 
 
+def test_all_hit_job_starts_no_write_transaction(tmp_path):
+    database = catalog_database(tmp_path)
+    inventory = catalog_inventory(5)
+    statements = []
+    database._conn.set_trace_callback(statements.append)
+    execute_job(ScanJob(token="t1", client_id="c1", inventory=inventory), database)
+    assert "BEGIN IMMEDIATE" in statements
+    statements.clear()
+    again = execute_job(ScanJob(token="t2", client_id="c1", inventory=inventory),
+                        database)
+    database._conn.set_trace_callback(None)
+    assert all(result.cache_hit for result in again.results)
+    assert statements, "the cache lookups run on the traced connection"
+    assert not any(statement.startswith("BEGIN") for statement in statements)
+
+
 def test_scan_requires_initialized_database(tmp_path):
     database = VulnDatabase(str(tmp_path / "fresh.sqlite"))
     with pytest.raises(EngineError):
@@ -267,7 +283,7 @@ def test_job_keeps_its_results_while_another_connection_writes(tmp_path, caplog)
     writer = sqlite3.connect(str(tmp_path / "db.sqlite"), isolation_level=None)
     writer.execute("BEGIN IMMEDIATE")
     try:
-        with caplog.at_level("INFO", logger="invscan.engine"):
+        with caplog.at_level("INFO", logger="invscan.db"):
             report = execute_job(ScanJob(token="t-busy", client_id="c1",
                                          inventory=inventory), database)
     finally:

@@ -12,7 +12,7 @@ from invscan.generation import (ComponentCandidates, GenerationIndex,
                                 is_version_token, os_product_candidates,
                                 os_update_candidates, os_vendor_candidates,
                                 os_version_candidates, word_combinations)
-from invscan.inventory import Pvc, PvcKind
+from invscan.inventory import InventoryError, Pvc, PvcKind, pvc_from_dict
 
 
 def _index(*uris) -> GenerationIndex:
@@ -359,3 +359,23 @@ def test_generate_never_empty_even_without_index():
     # vendor falls back through known vendors to the name itself
     names = generate_cpes(os_pvc("mysteryos"), GenerationIndex())
     assert names
+
+
+# Names mix word characters with whitespace and ':', which normalization
+# strips; any record the intake accepts must still yield a candidate name.
+_intake_text = st.text(alphabet="aZ1.-_: \t\n\x1c\xa0", max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(record=st.fixed_dictionaries(
+    {"kind": st.sampled_from([kind.value for kind in PvcKind]), "name": _intake_text},
+    optional={"vendor": _intake_text, "publisher": _intake_text,
+              "display_version": _intake_text, "service_pack": _intake_text,
+              "major": st.integers(0, 12), "minor": st.integers(0, 12),
+              "build": st.integers(0, 9999), "revision": st.integers(0, 9)}))
+def test_every_accepted_component_generates_a_name(record):
+    try:
+        pvc = pvc_from_dict(record)
+    except InventoryError:
+        return
+    assert generate_cpes(pvc, GenerationIndex())

@@ -62,6 +62,20 @@ def test_pvc_from_dict_rejects_negative_version_part():
         pvc_from_dict({"kind": "os", "name": "x", "major": -1})
 
 
+def test_pvc_from_dict_rejects_name_that_normalizes_to_nothing():
+    for record in ({"kind": "app", "name": "   "}, {"kind": "os", "name": "\t"},
+                   {"kind": "hw", "name": "::"}):
+        with pytest.raises(InventoryError):
+            pvc_from_dict(record)
+
+
+def test_pvc_from_dict_rejects_boolean_version_part():
+    # JSON true is a Python bool, which is an int.
+    for part in ("major", "minor", "build", "revision"):
+        with pytest.raises(InventoryError):
+            pvc_from_dict({"kind": "os", "name": "x", part: True})
+
+
 def test_pvc_from_dict_ignores_unknown_fields(caplog):
     with caplog.at_level("WARNING"):
         pvc = pvc_from_dict({"kind": "app", "name": "x", "install_path": "C:\\x"})
@@ -114,7 +128,7 @@ _opt_int = st.none() | st.integers(min_value=0, max_value=99999)
 pvc_strategy = st.builds(
     Pvc,
     kind=st.sampled_from(list(PvcKind)),
-    name=_text,
+    name=_text.filter(str.strip),
     vendor=_opt_text,
     version=_opt_text,
     edition=_opt_text,

@@ -214,10 +214,10 @@ def test_freshness_window_is_closed_interval():
         opened = open_message(_sample_envelope(sn=1, ts=int(ts)), receiver,
                               now=1000.0)
         assert opened.ts == int(ts)
-    for ts in (1000 - delta - 1, 1000 + delta + 1):
+    for ts in (int(1000 - delta - 1), int(1000 + delta + 1), float("inf"), float("-inf")):
         receiver = client_credential()
         with pytest.raises(StaleTimestampError):
-            open_message(_sample_envelope(sn=1, ts=int(ts)), receiver, now=1000.0)
+            open_message(_sample_envelope(sn=1, ts=ts), receiver, now=1000.0)
         assert receiver.last_sn == 0  # failures never advance the counter
 
 
@@ -304,7 +304,11 @@ def test_valid_payload_shape_is_enforced():
     nonce = os.urandom(NONCE_BYTES)
     aad = struct.pack(">BBH", PROTOCOL_VERSION, int(MsgType.SCAN_REQUEST),
                       len(receiver.client_id)) + receiver.client_id.encode()
-    for payload in (b"not json", b"[1,2,3]", b'{"id_b":"vsc-1","sn":"x","ts":0,"body":{}}'):
+    # The last two carry a timestamp no clock value compares with: NaN,
+    # and an integer past the float range.
+    for payload in (b"not json", b"[1,2,3]", b'{"id_b":"vsc-1","sn":"x","ts":0,"body":{}}',
+                    b'{"id_b":"vsc-1","sn":5,"ts":NaN,"body":{}}',
+                    b'{"id_b":"vsc-1","sn":5,"ts":1%s,"body":{}}' % (b"0" * 400)):
         sealed = AESGCM(receiver.derived_key).encrypt(nonce, payload, aad)
         env = Envelope(version=PROTOCOL_VERSION,
                        msg_type=int(MsgType.SCAN_REQUEST),
@@ -312,6 +316,7 @@ def test_valid_payload_shape_is_enforced():
                        ciphertext=sealed[:-TAG_BYTES], tag=sealed[-TAG_BYTES:])
         with pytest.raises(MalformedPayloadError):
             open_message(env, receiver, now=0.0)
+        assert receiver.last_sn == 0
 
 
 # -- sequence numbers ---------------------------------------------------------------

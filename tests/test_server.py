@@ -727,19 +727,24 @@ def test_malformed_payload_answered_without_violation(tmp_path):
                                   Envelope)
     server = make_server(tmp_path)
     client = client_credential()
-    nonce = os.urandom(NONCE_BYTES)
     aad = struct.pack(">BBH", PROTOCOL_VERSION, int(MsgType.SCAN_REQUEST),
                       len("vsc-1")) + b"vsc-1"
-    sealed = AESGCM(client.derived_key).encrypt(nonce, b"not json", aad)
-    env = Envelope(version=PROTOCOL_VERSION,
-                   msg_type=int(MsgType.SCAN_REQUEST), client_id_a="vsc-1",
-                   nonce=nonce, ciphertext=sealed[:-TAG_BYTES],
-                   tag=sealed[-TAG_BYTES:])
-    replies = wire_exchange(server, [encode_frame(env)])
-    opened = open_reply(replies[0])
-    assert opened.msg_type is MsgType.PROTOCOL_ERROR
-    assert opened.body["code"] == "malformed-payload"
-    assert server.credentials["vsc-1"].block_state.violations == 0
+    # A NaN timestamp passes the freshness comparison, so it must be
+    # refused before the sequence number moves.
+    nan_ts = b'{"id_b":"vsc-1","sn":5,"ts":NaN,"body":{}}'
+    for payload in (b"not json", nan_ts):
+        nonce = os.urandom(NONCE_BYTES)
+        sealed = AESGCM(client.derived_key).encrypt(nonce, payload, aad)
+        env = Envelope(version=PROTOCOL_VERSION,
+                       msg_type=int(MsgType.SCAN_REQUEST), client_id_a="vsc-1",
+                       nonce=nonce, ciphertext=sealed[:-TAG_BYTES],
+                       tag=sealed[-TAG_BYTES:])
+        replies = wire_exchange(server, [encode_frame(env)])
+        opened = open_reply(replies[0])
+        assert opened.msg_type is MsgType.PROTOCOL_ERROR
+        assert opened.body["code"] == "malformed-payload"
+        assert server.credentials["vsc-1"].block_state.violations == 0
+        assert server.credentials["vsc-1"].last_sn == 0
 
 
 def test_unexpected_message_type_answered_with_error(tmp_path):
