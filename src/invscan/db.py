@@ -20,6 +20,7 @@ another connection holds past the busy timeout.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import re
@@ -28,9 +29,8 @@ import threading
 import time
 from dataclasses import dataclass, replace
 
-from .cpe import (CpeError, CpeName, cpe_matches, format_cpe_uri,
-                  normalize_component, parse_cpe_uri)
-from .generation import GenerationIndex, build_index_from_names
+from .cpe import CpeError, CpeName, format_cpe_uri, normalize_component, parse_cpe_uri
+from .generation import ComponentCandidates, GenerationIndex, build_index_from_names
 
 log = logging.getLogger(__name__)
 
@@ -62,8 +62,7 @@ CREATE TABLE IF NOT EXISTS exploit_link (
 CREATE TABLE IF NOT EXISTS cache (
     fingerprint TEXT PRIMARY KEY,
     generation INTEGER NOT NULL,
-    cve_ids TEXT NOT NULL,
-    cpes TEXT NOT NULL
+    cve_ids TEXT NOT NULL
 );
 """
 
@@ -91,8 +90,7 @@ class CveRecord:
 
 @dataclass(frozen=True)
 class PvcCacheEntry:
-    """Cached scan outcome for one component fingerprint: the matched ids
-    and the sorted URIs of the generated names.
+    """Cached scan outcome for one component fingerprint: the matched ids.
 
     Valid only for scans against a snapshot of the generation it is
     stored under; cache_store writes it only while the file is still at
@@ -101,11 +99,10 @@ class PvcCacheEntry:
 
     fingerprint: bytes
     cve_ids: frozenset[str]
-    generated_cpes: tuple[str, ...]
 
 
 # Index key for names whose vendor or product is unspecified; those must
-# be checked against every query name.
+# be checked against every candidate set.
 _WILDCARD = ("*", "*")
 
 
@@ -117,7 +114,7 @@ class DbSnapshot:
     only match names carrying those exact values; pairs with an
     unspecified vendor or product live in the wildcard bucket and are
     checked against everything. Lookup through the index is equivalent to
-    the brute-force all-pairs scan.
+    the brute-force all-pairs scan over the candidates' expansion.
     """
 
     generation: int
@@ -125,23 +122,25 @@ class DbSnapshot:
     match_index: dict[tuple[str, str], tuple[tuple[str, CpeName], ...]]
     gen_index: GenerationIndex
 
-    def match_cpes_to_cves(self, cpes) -> set[str]:
-        """Ids of every record with an applicability name matching any
-        of the given names."""
+    def match_cpes_to_cves(self, candidates: ComponentCandidates) -> set[str]:
+        """Ids of every record with an applicability name matching a name
+        of the candidates' expansion, found without expanding: as
+        cpe_matches compares field by field, a name matches when its part
+        is a candidate platform and each other field is unset on it, has
+        no candidate set, or is in its set."""
+        allowed = (candidates.vendors, candidates.products, candidates.versions,
+                   *candidates.optional_sets())
+        # Candidate vendors and products are never unset: no other bucket can match.
+        buckets = [self.match_index.get(_WILDCARD, ())]
+        for pair in itertools.product(candidates.vendors, candidates.products):
+            buckets.append(self.match_index.get(pair, ()))
         found: set[str] = set()
-        wildcard = self.match_index.get(_WILDCARD, ())
-        for query in cpes:
-            buckets = [wildcard]
-            if query.vendor is not None and query.product is not None:
-                buckets.append(self.match_index.get((query.vendor, query.product), ()))
-            else:
-                # An unspecified field on the query side can match any
-                # indexed value, so fall back to every bucket.
-                buckets.extend(self.match_index.values())
-            for bucket in buckets:
-                for cve_id, applicability in bucket:
-                    if cve_id not in found and cpe_matches(query, applicability):
-                        found.add(cve_id)
+        for bucket in buckets:
+            for cve_id, name in bucket:
+                if (cve_id not in found and name.part in candidates.platforms
+                        and all(value is None or value in values
+                                for value, values in zip(name.components(), allowed))):
+                    found.add(cve_id)
         return found
 
 
@@ -233,6 +232,9 @@ class VulnDatabase:
                                    "changed_generation INTEGER NOT NULL DEFAULT 0")
             for legacy in sorted(columns & {"description", "published"}):
                 self._conn.execute(f"ALTER TABLE cve DROP COLUMN {legacy}")
+            # A file whose cache rows still carry the expanded names.
+            if "cpes" in {row[1] for row in self._conn.execute("PRAGMA table_info(cache)")}:
+                self._conn.execute("ALTER TABLE cache DROP COLUMN cpes")
             self._conn.execute(
                 "INSERT OR IGNORE INTO meta (key, value) VALUES ('generation', '0')"
             )
@@ -450,16 +452,12 @@ class VulnDatabase:
         miss and stays; the next store of the fingerprint overwrites it."""
         with self._lock:
             row = self._conn.execute(
-                "SELECT cve_ids, cpes FROM cache WHERE fingerprint = ? AND generation = ?",
+                "SELECT cve_ids FROM cache WHERE fingerprint = ? AND generation = ?",
                 (fingerprint.hex(), generation),
             ).fetchone()
         if row is None:
             return None
-        return PvcCacheEntry(
-            fingerprint=fingerprint,
-            cve_ids=frozenset(json.loads(row[0])),
-            generated_cpes=tuple(json.loads(row[1])),
-        )
+        return PvcCacheEntry(fingerprint=fingerprint, cve_ids=frozenset(json.loads(row[0])))
 
     def cache_store(self, generation: int, entries: list[PvcCacheEntry]) -> None:
         """Persist a batch scanned on the given generation in one transaction.
@@ -481,16 +479,11 @@ class VulnDatabase:
                                  "%d results not cached", generation, current, len(entries))
                         return
                     self._conn.executemany(
-                        "INSERT INTO cache (fingerprint, generation, cve_ids, cpes) "
-                        "VALUES (?,?,?,?) ON CONFLICT(fingerprint) DO UPDATE SET "
-                        "generation=excluded.generation, cve_ids=excluded.cve_ids, "
-                        "cpes=excluded.cpes",
-                        [(
-                            entry.fingerprint.hex(),
-                            generation,
-                            json.dumps(sorted(entry.cve_ids)),
-                            json.dumps(list(entry.generated_cpes)),
-                        ) for entry in entries],
+                        "INSERT INTO cache (fingerprint, generation, cve_ids) "
+                        "VALUES (?,?,?) ON CONFLICT(fingerprint) DO UPDATE SET "
+                        "generation=excluded.generation, cve_ids=excluded.cve_ids",
+                        [(entry.fingerprint.hex(), generation, json.dumps(sorted(entry.cve_ids)))
+                         for entry in entries],
                     )
             except sqlite3.OperationalError as exc:
                 log.info("database busy (%s); %d results not cached", exc, len(entries))

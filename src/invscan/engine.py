@@ -16,7 +16,6 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from .cpe import format_cpe_uri
 from .db import DbSnapshot, PvcCacheEntry, VulnDatabase
 from .generation import generate_cpes
 from .inventory import Inventory, Pvc, fingerprint_pvc, pvc_to_dict
@@ -30,11 +29,9 @@ class EngineError(Exception):
 
 @dataclass(frozen=True)
 class PvcScanResult:
-    """Outcome for a single inventory component; generated_cpes holds the
-    sorted URIs of the candidate names."""
+    """Outcome for a single inventory component."""
 
     pvc: Pvc
-    generated_cpes: tuple[str, ...]
     cve_ids: frozenset[str]
     cache_hit: bool
     error: str | None = None
@@ -85,16 +82,11 @@ def _scan(pvc: Pvc, database: VulnDatabase,
     fingerprint = fingerprint_pvc(pvc)
     cached = database.cache_lookup(fingerprint, snapshot.generation)
     if cached is not None:
-        return PvcScanResult(pvc=pvc, generated_cpes=cached.generated_cpes,
-                             cve_ids=cached.cve_ids, cache_hit=True), None
-    cpes = frozenset(generate_cpes(pvc, snapshot.gen_index))
-    entry = PvcCacheEntry(
-        fingerprint=fingerprint,
-        cve_ids=frozenset(snapshot.match_cpes_to_cves(cpes)),
-        generated_cpes=tuple(sorted(format_cpe_uri(name) for name in cpes)),
-    )
-    return PvcScanResult(pvc=pvc, generated_cpes=entry.generated_cpes,
-                         cve_ids=entry.cve_ids, cache_hit=False), entry
+        return PvcScanResult(pvc=pvc, cve_ids=cached.cve_ids, cache_hit=True), None
+    candidates = generate_cpes(pvc, snapshot.gen_index)
+    entry = PvcCacheEntry(fingerprint=fingerprint,
+                          cve_ids=frozenset(snapshot.match_cpes_to_cves(candidates)))
+    return PvcScanResult(pvc=pvc, cve_ids=entry.cve_ids, cache_hit=False), entry
 
 
 def scan_pvc(pvc: Pvc, database: VulnDatabase) -> PvcScanResult:
@@ -142,7 +134,6 @@ def execute_job(job: ScanJob, database: VulnDatabase) -> ScanReport:
             log.exception("scan failed for component %r", pvc.name)
             result, entry = PvcScanResult(
                 pvc=pvc,
-                generated_cpes=(),
                 cve_ids=frozenset(),
                 cache_hit=False,
                 error=f"{type(exc).__name__}: {exc}",
@@ -188,7 +179,6 @@ def report_to_dict(report: ScanReport) -> dict:
             cves.append(entry)
         doc = {
             "pvc": pvc_to_dict(result.pvc),
-            "cpes": list(result.generated_cpes),
             "cves": cves,
             "cache_hit": result.cache_hit,
         }

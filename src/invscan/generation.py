@@ -1,14 +1,16 @@
 """Candidate CPE generation for inventory components.
 
-Each component kind gets its own vendor/product/version/update heuristics;
-the per-field candidate sets are then expanded into concrete CPE names.
-Heuristics that need dictionary knowledge (known vendors, known products,
-per-family vendor lists) read it from a GenerationIndex snapshot.
+Each component kind gets its own vendor/product/version/update heuristics,
+giving one candidate set per CPE field; the sets stand for the CPE names
+of their cartesian expansion, which the database never builds. Heuristics
+that need dictionary knowledge (known vendors, known products, per-family
+vendor lists) read it from a GenerationIndex snapshot.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -82,7 +84,8 @@ def build_index_from_names(names) -> GenerationIndex:
 
 @dataclass(frozen=True)
 class ComponentCandidates:
-    """Per-field candidate sets feeding the cartesian expansion.
+    """Per-field candidate sets for one component, standing for the names
+    of their cartesian expansion: len() counts them, iteration expands.
 
     platforms, vendors, products, and versions must be non-empty;
     updates, editions, and languages may be empty.
@@ -103,6 +106,18 @@ class ComponentCandidates:
                 raise ValueError(f"candidate set {label} must be non-empty")
             if any(not m for m in members):
                 raise ValueError(f"candidate set {label} contains an empty member")
+
+    def optional_sets(self) -> tuple[frozenset[str], ...]:
+        """updates, editions and languages up to the first empty one: the
+        optional sets the expansion uses; later fields stay unset."""
+        return tuple(itertools.takewhile(bool, (self.updates, self.editions, self.languages)))
+
+    def __len__(self) -> int:
+        return math.prod(map(len, (self.platforms, self.vendors, self.products,
+                                   self.versions, *self.optional_sets())))
+
+    def __iter__(self):
+        return iter(cartesian_expand(self))
 
 
 def is_version_token(word: str) -> bool:
@@ -351,8 +366,8 @@ def cartesian_expand(candidates: ComponentCandidates) -> set[CpeName]:
 
     Every (platform, vendor, product, version) tuple is emitted; updates,
     editions, and languages deepen the name only when their sets are
-    non-empty. Output size is exactly
-    |P|*|V|*|PR|*|VR| * max(1,|U|) * max(1,|E|) * max(1,|L|).
+    non-empty, and expansion stops at the first empty one. Output size is
+    exactly len(candidates).
     """
     out: set[CpeName] = set()
     base = itertools.product(candidates.platforms, candidates.vendors,
@@ -376,8 +391,9 @@ def cartesian_expand(candidates: ComponentCandidates) -> set[CpeName]:
     return out
 
 
-def component_candidates(pvc: Pvc, index: GenerationIndex) -> ComponentCandidates:
-    """Assemble the candidate sets for one component, by kind."""
+def generate_cpes(pvc: Pvc, index: GenerationIndex) -> ComponentCandidates:
+    """The candidate sets for one component, by kind. Deterministic; the
+    expansion is never empty."""
     if pvc.kind is PvcKind.OPERATING_SYSTEM:
         vendors = os_vendor_candidates(pvc, index)
         if not vendors:
@@ -398,8 +414,3 @@ def component_candidates(pvc: Pvc, index: GenerationIndex) -> ComponentCandidate
         products=frozenset(app_product_candidates(pvc, index)),
         versions=frozenset(app_version_candidates(pvc)),
     )
-
-
-def generate_cpes(pvc: Pvc, index: GenerationIndex) -> set[CpeName]:
-    """All candidate CPE names for one component. Deterministic; never empty."""
-    return cartesian_expand(component_candidates(pvc, index))

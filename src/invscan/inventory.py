@@ -103,7 +103,10 @@ def pvc_from_dict(record: dict, where: str = "pvc") -> Pvc:
     for key in _INT_FIELDS:
         if record.get(key) is not None:
             kwargs[key] = record[key]
-    return Pvc(kind=kind, name=name, **kwargs)
+    try:
+        return Pvc(kind=kind, name=name, **kwargs)
+    except InventoryError as exc:
+        raise InventoryError(f"{where}: {exc}") from None
 
 
 def pvc_to_dict(pvc: Pvc) -> dict:

@@ -7,13 +7,17 @@ import random
 
 import pytest
 
-from invscan.cpe import cpe_matches
+from invscan.cpe import cpe_matches, parse_cpe_uri
 from invscan.db import VulnDatabase
+from invscan.generation import ComponentCandidates
 from invscan.protocol import ClientCredential
 
 
 def brute_force_match(records, queries) -> set:
-    """All-pairs matching, the defining semantics."""
+    """All-pairs matching, the defining semantics. queries is any
+    iterable of names, read once (ComponentCandidates expands on each
+    iteration)."""
+    queries = list(queries)
     found = set()
     for record in records.values():
         hit = False
@@ -27,6 +31,17 @@ def brute_force_match(records, queries) -> set:
         if hit:
             found.add(record.id)
     return found
+
+
+def one_name(uri: str) -> ComponentCandidates:
+    """Candidate sets whose expansion is exactly the given name, which
+    must carry vendor, product and version."""
+    name = parse_cpe_uri(uri)
+    optional = [frozenset({value}) if value else frozenset()
+                for value in (name.update, name.edition, name.language)]
+    return ComponentCandidates(frozenset({name.part}), frozenset({name.vendor}),
+                               frozenset({name.product}), frozenset({name.version}),
+                               *optional)
 
 
 def feed_item(cve_id: str, cpes=(), cvss3=None, cvss2=None,

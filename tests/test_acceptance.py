@@ -20,7 +20,7 @@ from invscan.client import (EXIT_OK, ClientConfig, TransportError,
 from invscan.cpe import CpeName, format_cpe_uri, parse_cpe_uri
 from invscan.db import VulnDatabase
 from invscan.engine import ScanJob, compute_accuracy, execute_job, report_to_dict
-from invscan.generation import (GenerationIndex, abbreviate_name,
+from invscan.generation import (ComponentCandidates, GenerationIndex, abbreviate_name,
                                 app_product_candidates,
                                 app_version_candidates,
                                 build_index_from_names,
@@ -175,6 +175,19 @@ def _random_cpe(rng: random.Random) -> CpeName:
     )
 
 
+def _random_candidates(rng: random.Random) -> ComponentCandidates:
+    def pick(values, low):
+        return frozenset(rng.sample(values, rng.randint(low, 2)))
+
+    return ComponentCandidates(
+        platforms=pick("oah", 1),
+        vendors=pick(("v1", "v2", "v3", "v4"), 1),
+        products=pick(("p1", "p2", "p3", "p4", "p5"), 1),
+        versions=pick(("1.0", "2.0", "3.5", "9.8.1", "-"), 1),
+        updates=pick(("sp1", "sp2"), 0),
+    )
+
+
 def test_acceptance_3_matching_oracle_equivalence(tmp_path, announce):
     with announce(3, "matching equals all-pairs oracle (100 seeds)"):
         started = time.perf_counter()
@@ -183,12 +196,12 @@ def test_acceptance_3_matching_oracle_equivalence(tmp_path, announce):
             # Two seeds run at the size caps; the rest stay small so a
             # hundred independent databases still finish quickly.
             if seed == 7:
-                cve_count, query_count = 5000, 30
+                cve_count, query_count = 5000, 4
             elif seed == 13:
-                cve_count, query_count = 400, 200
+                cve_count, query_count = 400, 25
             else:
                 cve_count = rng.randrange(20, 300)
-                query_count = rng.randrange(0, 40)
+                query_count = rng.randrange(1, 6)
             items = []
             for n in range(cve_count):
                 names = {_random_cpe(rng) for _ in range(rng.randrange(0, 4))}
@@ -196,11 +209,12 @@ def test_acceptance_3_matching_oracle_equivalence(tmp_path, announce):
                                        cpes=[format_cpe_uri(c) for c in names]))
             database = make_database(tmp_path, items, name=f"seed{seed}")
             try:
-                queries = [_random_cpe(rng) for _ in range(query_count)]
                 snapshot = database.snapshot()
-                got = snapshot.match_cpes_to_cves(queries)
-                want = brute_force_match(snapshot.records, queries)
-                assert got == want, f"divergence at seed {seed}"
+                for _ in range(query_count):
+                    candidates = _random_candidates(rng)
+                    got = snapshot.match_cpes_to_cves(candidates)
+                    want = brute_force_match(snapshot.records, candidates)
+                    assert got == want, f"divergence at seed {seed}"
             finally:
                 database.close()
         assert time.perf_counter() - started < 60.0
@@ -543,9 +557,12 @@ def test_acceptance_8_partial_record_ingestion(tmp_path, announce):
         records = database.snapshot().records
         assert set(records) == {f"CVE-2020-{i:04d}" for i in range(100)}
 
-        # The widest possible query: records without any applicability
-        # name still must never match.
-        catch_all = [CpeName(part=part) for part in "aoh"]
+        # The widest candidate sets the dictionary allows: records without
+        # any applicability name still must never match.
+        catch_all = ComponentCandidates(
+            platforms=frozenset("aoh"), vendors=database.snapshot().gen_index.known_vendors,
+            products=database.snapshot().gen_index.known_products,
+            versions=frozenset({"-"}))
         got = database.snapshot().match_cpes_to_cves(catch_all)
         assert got == {f"CVE-2020-{i:04d}" for i in range(30, 100)}
         assert got == brute_force_match(records, catch_all)

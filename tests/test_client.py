@@ -169,7 +169,6 @@ def _report_doc(token="tok-1"):
         "token": token,
         "results": [{
             "pvc": {"kind": "app", "name": "Acme Paint"},
-            "cpes": ["cpe:/a:acme:paint:-"],
             "cves": [{"id": "CVE-2019-0001", "exploit": False, "cvss": 7.5}],
             "cache_hit": False,
         }],
@@ -240,7 +239,6 @@ def _two_component_report():
             {
                 "pvc": {"kind": "app", "name": "Adobe Reader",
                         "display_version": "9.0"},
-                "cpes": ["cpe:/a:adobe:reader:9.0"],
                 "cves": [
                     {"id": "CVE-2019-0001", "exploit": True, "cvss": 9.8},
                     {"id": "CVE-2019-0002", "exploit": False},
@@ -249,7 +247,6 @@ def _two_component_report():
             },
             {
                 "pvc": {"kind": "os", "name": "windows xp"},
-                "cpes": ["cpe:/o:microsoft:windows_xp"],
                 "cves": [],
                 "cache_hit": False,
             },
@@ -279,7 +276,7 @@ def test_render_zero_vulnerabilities():
 def test_render_error_flag():
     doc = {
         "token": "t",
-        "results": [{"pvc": {"kind": "app", "name": "Broken"}, "cpes": [],
+        "results": [{"pvc": {"kind": "app", "name": "Broken"},
                      "cves": [], "cache_hit": False,
                      "error": "RuntimeError: boom"}],
         "summary": {"total_cves": 0, "max_cvss": None, "exploit_count": 0},
@@ -304,7 +301,7 @@ def test_fail_on_threshold():
     assert render_report(doc, "text", fail_on=9.9)[1] == EXIT_OK
     assert render_report(doc, "text", fail_on=None)[1] == EXIT_OK
     scoreless = {"token": "t",
-                 "results": [{"pvc": {"kind": "app", "name": "X"}, "cpes": [],
+                 "results": [{"pvc": {"kind": "app", "name": "X"},
                               "cves": [{"id": "CVE-1999-0001", "exploit": False}],
                               "cache_hit": False}],
                  "summary": {"total_cves": 1, "max_cvss": None,

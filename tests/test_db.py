@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from invscan.cpe import CpeName, format_cpe_uri, parse_cpe_uri
 from invscan.db import CveRecord, DbError, PvcCacheEntry, VulnDatabase, cpe23_to_22
-from invscan.generation import GenerationIndex
-from conftest import (brute_force_match, feed_item, make_database,
+from invscan.generation import ComponentCandidates, GenerationIndex, cartesian_expand
+from conftest import (brute_force_match, feed_item, make_database, one_name,
                       write_dictionary, write_exploit_map, write_feed)
 
 
@@ -222,19 +222,20 @@ def test_match_any_version(tmp_path):
     database = make_database(tmp_path, [
         feed_item("CVE-2020-0001", cpes=["cpe:/o:microsoft:windows_xp"])])
     got = database.snapshot().match_cpes_to_cves(
-        [parse_cpe_uri("cpe:/o:microsoft:windows_xp:5.1.2600:sp3")])
+        one_name("cpe:/o:microsoft:windows_xp:5.1.2600:sp3"))
     assert got == {"CVE-2020-0001"}
 
 
-def test_match_empty_input(tmp_path):
+def test_match_reaching_no_bucket(tmp_path):
     database = make_database(tmp_path, [feed_item("CVE-2020-0001", cpes=["cpe:/a:a:b"])])
-    assert database.snapshot().match_cpes_to_cves([]) == set()
+    assert database.snapshot().match_cpes_to_cves(one_name("cpe:/a:a:c:1")) == set()
 
 
 def test_cpeless_cves_never_match(tmp_path):
     database = make_database(tmp_path, [feed_item("CVE-2020-0001", cpes=[])])
-    queries = [CpeName(part=p) for p in "oah"]
-    assert database.snapshot().match_cpes_to_cves(queries) == set()
+    candidates = ComponentCandidates(frozenset("oah"), frozenset({"a"}),
+                                     frozenset({"b"}), frozenset({"-"}))
+    assert database.snapshot().match_cpes_to_cves(candidates) == set()
 
 
 def test_wildcard_applicability_reaches_every_query(tmp_path):
@@ -242,40 +243,54 @@ def test_wildcard_applicability_reaches_every_query(tmp_path):
     # bucket and must still match
     database = make_database(tmp_path, [feed_item("CVE-2020-0001", cpes=["cpe:/o"])])
     assert database.snapshot().match_cpes_to_cves(
-        [parse_cpe_uri("cpe:/o:microsoft:windows_10")]) == {"CVE-2020-0001"}
-    assert database.snapshot().match_cpes_to_cves([parse_cpe_uri("cpe:/a:adobe:reader")]) == set()
+        one_name("cpe:/o:microsoft:windows_10:10")) == {"CVE-2020-0001"}
+    assert database.snapshot().match_cpes_to_cves(
+        one_name("cpe:/a:adobe:reader:9.0")) == set()
 
 
-def _random_name(rng, vendors, products):
-    return CpeName(
-        part=rng.choice("oah"),
-        vendor=rng.choice(vendors),
-        product=rng.choice(products),
-        version=rng.choice([None, "1.0", "2.0", "9.8.1"]),
-        update=rng.choice([None, None, "sp1"]),
-    )
+# Applicability names: unset vendor or product puts a name in the wildcard
+# bucket, and any trailing field may be unset.
+_name = st.builds(
+    CpeName,
+    part=st.sampled_from("oah"),
+    vendor=st.sampled_from([None, "v1", "v2", "v3"]),
+    product=st.sampled_from([None, "p1", "p2", "p3"]),
+    version=st.sampled_from([None, "1", "2", "3"]),
+    update=st.sampled_from([None, "u1", "u2"]),
+    edition=st.sampled_from([None, "e1", "e2"]),
+    language=st.sampled_from([None, "en", "de"]),
+)
+_candidates = st.builds(
+    ComponentCandidates,
+    platforms=st.frozensets(st.sampled_from("oah"), min_size=1),
+    vendors=st.frozensets(st.sampled_from(["v1", "v2", "v3", "v4"]), min_size=1, max_size=3),
+    products=st.frozensets(st.sampled_from(["p1", "p2", "p3", "p4"]), min_size=1, max_size=3),
+    versions=st.frozensets(st.sampled_from(["1", "2", "3", "-"]), min_size=1, max_size=3),
+    updates=st.frozensets(st.sampled_from(["u1", "u2", "u3"]), max_size=2),
+    editions=st.frozensets(st.sampled_from(["e1", "e2", "e3"]), max_size=2),
+    languages=st.frozensets(st.sampled_from(["en", "de", "fr"]), max_size=2),
+)
 
 
-def test_indexed_matching_equals_brute_force(tmp_path, rng):
-    vendors = [None, "v1", "v2", "v3"]
-    products = [None, "p1", "p2", "p3", "p4"]
-    items = []
-    for i in range(300):
-        names = {_random_name(rng, vendors, products) for _ in range(rng.randrange(0, 4))}
-        items.append(feed_item(f"CVE-2021-{10000 + i}",
-                               cpes=[format_cpe_uri(n) for n in names]))
-    database = make_database(tmp_path, items)
-    for _ in range(20):
-        queries = [_random_name(rng, vendors, products) for _ in range(rng.randrange(0, 30))]
-        got = database.snapshot().match_cpes_to_cves(queries)
-        assert got == brute_force_match(database.snapshot().records, queries)
+@settings(max_examples=60, deadline=None)
+@given(applicability=st.lists(st.sets(_name, max_size=3), max_size=25),
+       queries=st.lists(_candidates, min_size=1, max_size=6))
+def test_indexed_matching_equals_brute_force(applicability, queries):
+    with tempfile.TemporaryDirectory() as scratch:
+        items = [feed_item(f"CVE-2021-{10000 + i}", cpes=[format_cpe_uri(n) for n in names])
+                 for i, names in enumerate(applicability)]
+        database = make_database(Path(scratch), items)
+        snapshot = database.snapshot()
+        database.close()
+    for candidates in queries:
+        assert (snapshot.match_cpes_to_cves(candidates)
+                == brute_force_match(snapshot.records, cartesian_expand(candidates)))
 
 
 # -- cache and generations --------------------------------------------------------
 
 def _entry():
-    return PvcCacheEntry(fingerprint=b"\x01" * 32, cve_ids=frozenset({"CVE-2020-0001"}),
-                         generated_cpes=("cpe:/a:a:b",))
+    return PvcCacheEntry(fingerprint=b"\x01" * 32, cve_ids=frozenset({"CVE-2020-0001"}))
 
 
 def test_cache_store_then_lookup(tmp_path):
@@ -287,7 +302,6 @@ def test_cache_store_then_lookup(tmp_path):
     assert got is not None
     assert got.fingerprint == entry.fingerprint
     assert got.cve_ids == entry.cve_ids
-    assert got.generated_cpes == entry.generated_cpes
 
 
 def test_cache_unknown_fingerprint(tmp_path):
@@ -393,10 +407,19 @@ def test_open_upgrades_a_file_of_the_old_schema(tmp_path):
         INSERT INTO cve VALUES ('CVE-2020-0001', 'synthetic record', '2020-01-02',
                                 '[["3.1", 9.8]]');
         INSERT INTO cve_cpe VALUES ('CVE-2020-0001', 'cpe:/a:adobe:reader');
+        CREATE TABLE cache (fingerprint TEXT PRIMARY KEY, generation INTEGER NOT NULL,
+                            cve_ids TEXT NOT NULL, cpes TEXT NOT NULL);
     """)
+    with conn:
+        conn.execute("INSERT INTO cache VALUES (?,?,?,?)",
+                     (_entry().fingerprint.hex(), 3, '["CVE-2020-0001"]',
+                      '["cpe:/a:adobe:reader:9.0"]'))
     conn.close()
     database = VulnDatabase(path)
     assert database.snapshot().generation == 3
+    # the cached ids survive the dropped column, and new rows store without it
+    assert database.cache_lookup(_entry().fingerprint, 3) == _entry()
+    database.cache_store(3, [PvcCacheEntry(fingerprint=b"\x02" * 32, cve_ids=frozenset())])
     assert database.snapshot().records == {"CVE-2020-0001": CveRecord(
         id="CVE-2020-0001", cvss_scores=frozenset({("3.1", 9.8)}),
         applicability=frozenset({parse_cpe_uri("cpe:/a:adobe:reader")}))}
@@ -407,8 +430,10 @@ def test_open_upgrades_a_file_of_the_old_schema(tmp_path):
     database.close()
     conn = sqlite3.connect(path)
     columns = [row[1] for row in conn.execute("PRAGMA table_info(cve)")]
+    cache_columns = [row[1] for row in conn.execute("PRAGMA table_info(cache)")]
     conn.close()
     assert columns == ["id", "cvss", "changed_generation"]
+    assert cache_columns == ["fingerprint", "generation", "cve_ids"]
 
 
 def test_update_reuses_unchanged_records_and_logs_the_build(tmp_path, caplog):
@@ -441,8 +466,12 @@ _APPLICABILITY = ["cpe:/a:acme:paint", "cpe:/a:acme:paint:1.0", "cpe:/a:acme:bru
                   "cpe:/o:zeta:zos:2", "cpe:/a:acme", "cpe:/a::paint", "cpe:/o"]
 _DICTIONARY = ["cpe:/a:acme:paint", "cpe:/o:zeta:zos", "cpe:/o:apple:mac_os_x",
                "cpe:/o:google:android", "cpe:/o:canonical:ubuntu_linux"]
-_QUERIES = [parse_cpe_uri(uri) for uri in _APPLICABILITY + [
-    "cpe:/a:acme:paint:2.0", "cpe:/o:zeta:zos:3", "cpe:/a:other:thing", "cpe:/h"]]
+_QUERIES = [one_name(uri) for uri in (
+    "cpe:/a:acme:paint:1.0", "cpe:/a:acme:paint:2.0", "cpe:/o:zeta:zos:2",
+    "cpe:/o:zeta:zos:3", "cpe:/a:other:thing:1", "cpe:/h:acme:router:1")] + [
+    ComponentCandidates(frozenset("oah"), frozenset({"acme", "zeta", "other"}),
+                        frozenset({"paint", "brush", "zos"}), frozenset({"1.0", "2"}),
+                        updates=frozenset({"sp1"}))]
 
 _update = st.fixed_dictionaries({
     "feed": st.lists(st.tuples(st.sampled_from(_IDS),
@@ -497,7 +526,7 @@ def test_incremental_snapshot_equals_a_fresh_open(steps):
                 assert got.gen_index == expected.gen_index
                 assert _buckets(got) == _buckets(expected)
                 for query in _QUERIES:
-                    assert (got.match_cpes_to_cves([query])
-                            == brute_force_match(got.records, [query]))
+                    assert (got.match_cpes_to_cves(query)
+                            == brute_force_match(got.records, query))
         live.close()
         other.close()

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invscan.cpe import format_cpe_uri
 from invscan.db import VulnDatabase
 from invscan.engine import (EngineError, ScanJob, compute_accuracy, execute_job,
                             report_to_dict, scan_pvc)
@@ -74,7 +73,6 @@ def test_first_scan_misses_then_hits(tmp_path):
     assert first.cache_hit is False
     assert second.cache_hit is True
     assert second.cve_ids == first.cve_ids
-    assert second.generated_cpes == first.generated_cpes
     assert "CVE-2019-1000" in first.cve_ids
 
 
@@ -163,6 +161,49 @@ def test_pinned_version_cve_found_only_at_that_version(tmp_path):
     assert "CVE-2019-1000" in scan_pvc(miss, database).cve_ids
 
 
+def _unknown_vendor_os_database(tmp_path, vendor_count: int):
+    """A dictionary of vendor_count vendors, none known to ship the OS
+    "Zephyr Server", whose CVEs are filed under the last vendor and under
+    the wildcard bucket; and that OS as a component, with an unknown vendor."""
+    vendors = [f"vendor{i:05d}" for i in range(vendor_count)]
+    items = [
+        feed_item("CVE-2020-0001", cpes=[f"cpe:/o:{vendors[-1]}:zephyr_server:4.1"]),
+        feed_item("CVE-2020-0002", cpes=[f"cpe:/o:{vendors[-1]}:zephyr_server"]),
+        feed_item("CVE-2020-0003", cpes=[f"cpe:/o:{vendors[-1]}:zephyr_server:9.9"]),
+        feed_item("CVE-2020-0004", cpes=["cpe:/o::zephyr_server:4.1"]),
+    ]
+    database = make_database(tmp_path, items, [f"cpe:/a:{v}:tool" for v in vendors],
+                             name=f"vendors{vendor_count}")
+    pvc = Pvc(kind=PvcKind.OPERATING_SYSTEM, name="Zephyr Server",
+              vendor="Zephyr Labs", major=4, minor=1)
+    return database, pvc
+
+
+def test_serving_never_expands_the_candidates(tmp_path, monkeypatch):
+    def boom(*_args, **_kwargs):
+        raise AssertionError("the serving path expanded the candidates")
+
+    sizes = []
+    for vendor_count in (20, 2000):
+        database, pvc = _unknown_vendor_os_database(tmp_path, vendor_count)
+        snapshot = database.snapshot()
+        candidates = generate_cpes(pvc, snapshot.gen_index)
+        assert len(candidates.vendors) == vendor_count
+        expected = brute_force_match(snapshot.records, candidates)
+        assert expected == {"CVE-2020-0001", "CVE-2020-0002", "CVE-2020-0004"}
+        with monkeypatch.context() as patch:
+            patch.setattr("invscan.generation.cartesian_expand", boom)
+            report = execute_job(ScanJob(token="t-os", client_id="c1",
+                                         inventory=Inventory(target_label="h", pvcs=(pvc,))),
+                                 database)
+        [result] = report.results
+        assert result.error is None
+        assert result.cve_ids == expected
+        sizes.append(len(json.dumps(report_to_dict(report))))
+        database.close()
+    assert sizes[0] == sizes[1]
+
+
 # -- job execution -------------------------------------------------------------
 
 def test_results_keep_inventory_order(tmp_path):
@@ -193,8 +234,6 @@ def test_job_equals_per_component_scans_on_large_inventory(tmp_path):
     report = execute_job(job, job_db)
     per_component = [scan_pvc(pvc, per_component_db) for pvc in inventory.pvcs]
     assert [r.cve_ids for r in report.results] == [r.cve_ids for r in per_component]
-    assert [r.generated_cpes for r in report.results] == \
-        [r.generated_cpes for r in per_component]
     assert all(result.error is None for result in report.results)
 
 
@@ -226,10 +265,9 @@ def test_job_matches_oracle_cold_cached_and_after_bump(shared_catalog_db, pvcs):
         report = execute_job(ScanJob(token="t", client_id="c", inventory=inventory),
                              database)
         for pvc, result in zip(pvcs, report.results, strict=True):
-            cpes = generate_cpes(pvc, snapshot.gen_index)
             assert result.error is None
-            assert result.generated_cpes == tuple(sorted(format_cpe_uri(n) for n in cpes))
-            assert result.cve_ids == brute_force_match(snapshot.records, cpes)
+            assert result.cve_ids == brute_force_match(
+                snapshot.records, generate_cpes(pvc, snapshot.gen_index))
         return [result.cache_hit for result in report.results]
 
     database.update_sources()  # every example starts cold
@@ -384,8 +422,8 @@ def test_report_round_trip(tmp_path):
                               "max_cvss": report.max_cvss,
                               "exploit_count": report.exploit_count}
     for result, item in zip(report.results, doc["results"], strict=True):
+        assert set(item) == {"pvc", "cves", "cache_hit"} | ({"error"} if result.error else set())
         assert pvc_from_dict(item["pvc"]) == result.pvc
-        assert tuple(item["cpes"]) == result.generated_cpes
         assert {cve["id"] for cve in item["cves"]} == result.cve_ids
         assert item["cache_hit"] == result.cache_hit
         assert item.get("error") == result.error
@@ -396,7 +434,6 @@ def test_report_dict_is_deterministically_sorted(tmp_path):
     job = ScanJob(token="t-sort", client_id="c1", inventory=catalog_inventory(4))
     doc = report_to_dict(execute_job(job, database))
     for entry in doc["results"]:
-        assert entry["cpes"] == sorted(entry["cpes"])
         ids = [c["id"] for c in entry["cves"]]
         assert ids == sorted(ids)
 

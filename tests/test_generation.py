@@ -292,6 +292,8 @@ def test_cartesian_matches_oracle_and_count(platforms, vendors, products,
                             versions=versions, updates=updates, editions=editions,
                             languages=languages)
     got = cartesian_expand(c)
+    assert len(c) == len(got)
+    assert set(c) == got
     assert {_as_tuple(n) for n in got} == _oracle_expand(
         platforms, vendors, products, versions, updates, editions, languages)
     # the count formula presumes optional sets only deepen in order

@@ -76,6 +76,14 @@ def test_pvc_from_dict_rejects_boolean_version_part():
             pvc_from_dict({"kind": "os", "name": "x", part: True})
 
 
+@pytest.mark.parametrize("bad", [{"name": "  "}, {"name": "x", "major": True},
+                                 {"name": "x", "major": -1}])
+def test_component_errors_name_their_record(bad):
+    doc = {"pvcs": [{"kind": "os", "name": "ok"}, {"kind": "os", **bad}]}
+    with pytest.raises(InventoryError, match=r"^inventory: pvcs\[1\]: pvc "):
+        inventory_from_dict(doc)
+
+
 def test_pvc_from_dict_ignores_unknown_fields(caplog):
     with caplog.at_level("WARNING"):
         pvc = pvc_from_dict({"kind": "app", "name": "x", "install_path": "C:\\x"})
