@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 PARTS = ("o", "a", "h")
 
-_WHITESPACE_RE = re.compile(r"\s+")
+# A character no normalized component value holds.
+_UNNORMALIZED_RE = re.compile(r"[\s:]")
 
 
 class CpeError(ValueError):
@@ -32,7 +33,7 @@ def normalize_component(value: str | None) -> str | None:
     """
     if value is None:
         return None
-    value = _WHITESPACE_RE.sub("_", value.strip().lower()).replace(":", "")
+    value = "_".join(value.lower().split()).replace(":", "")
     return value or None
 
 
@@ -51,11 +52,8 @@ class CpeName:
     def __post_init__(self) -> None:
         if self.part not in PARTS:
             raise CpeError(f"invalid part {self.part!r}: must be one of {PARTS}")
-        for field in _COMPONENT_FIELDS:
-            value = getattr(self, field)
-            if value is None:
-                continue
-            if ":" in value or _WHITESPACE_RE.search(value):
+        for field, value in zip(_COMPONENT_FIELDS, self.components()):
+            if value is not None and _UNNORMALIZED_RE.search(value):
                 raise CpeError(f"component {field}={value!r} not normalized")
 
     def components(self) -> tuple[str | None, ...]:

@@ -5,13 +5,16 @@ one transaction that ingests the sources, bumps the generation counter
 and clears the scan cache. Each CVE row a feed writes is tagged with the
 new generation, and an update that ingests a dictionary records its
 generation in meta. Readers work against an immutable per-generation
-snapshot (records, match index, generation index). A new snapshot is
-built from the previous one: it re-reads only the CVE rows tagged after
-the previous generation, reuses every other record object and, unless a
-dictionary arrived since, the generation index; the match index is
-rebuilt from the records. Opening a file builds from an empty snapshot,
-so every row is read. An update made through another connection to the
-same file (another process) is picked up by the next snapshot() call.
+snapshot (records, match index, generation index). Opening a file builds
+the snapshot of its generation from an empty one, so every row is read.
+After that snapshot() alone builds, whenever the file's generation has
+moved: an update builds nothing, and one made through this connection
+or another (another process) is picked up by the next snapshot() call.
+A new snapshot is built from the previous one: it re-reads only the CVE
+rows tagged after the previous generation, reuses every other record
+object and, unless a dictionary arrived since, the generation index,
+and rebuilds only the match-index buckets the re-read records left or
+entered.
 
 A cache write never fails a scan: cache_store alone decides, and skips a
 batch scanned on a generation the file has left or one that meets a file
@@ -52,7 +55,10 @@ CREATE TABLE IF NOT EXISTS cve_cpe (
     UNIQUE (cve_id, uri)
 );
 CREATE TABLE IF NOT EXISTS cpe_dict (
-    uri TEXT PRIMARY KEY
+    uri TEXT PRIMARY KEY,
+    part TEXT,
+    vendor TEXT,
+    product TEXT
 );
 CREATE TABLE IF NOT EXISTS exploit_link (
     exploit_id TEXT NOT NULL,
@@ -104,6 +110,12 @@ class PvcCacheEntry:
 # Index key for names whose vendor or product is unspecified; those must
 # be checked against every candidate set.
 _WILDCARD = ("*", "*")
+
+
+def _bucket_key(name: CpeName) -> tuple[str, str]:
+    if name.vendor is None or name.product is None:
+        return _WILDCARD
+    return (name.vendor, name.product)
 
 
 @dataclass(frozen=True)
@@ -184,11 +196,9 @@ def cpe23_to_22(uri: str) -> CpeName:
     )
 
 
-def parse_applicability_uri(entry: dict) -> CpeName | None:
-    """Parse one cpe_match entry from a feed; None when unusable."""
-    uri = entry.get("cpe22Uri") or entry.get("cpe23Uri")
-    if not uri:
-        return None
+def parse_applicability_uri(uri: str) -> CpeName | None:
+    """Parse the URI of one cpe_match entry from a feed, CPE 2.2 or 2.3;
+    None when unusable."""
     try:
         if uri.startswith("cpe:/"):
             return parse_cpe_uri(uri)
@@ -235,6 +245,21 @@ class VulnDatabase:
             # A file whose cache rows still carry the expanded names.
             if "cpes" in {row[1] for row in self._conn.execute("PRAGMA table_info(cache)")}:
                 self._conn.execute("ALTER TABLE cache DROP COLUMN cpes")
+            # A file whose dictionary rows carry only the URI: the fields
+            # the generation index reads are parsed once, here. A row
+            # that does not parse keeps them unset, and open drops it.
+            if "part" not in {row[1] for row in self._conn.execute("PRAGMA table_info(cpe_dict)")}:
+                for column in ("part", "vendor", "product"):
+                    self._conn.execute(f"ALTER TABLE cpe_dict ADD COLUMN {column} TEXT")
+                rows = []
+                for (uri,) in self._conn.execute("SELECT uri FROM cpe_dict").fetchall():
+                    try:
+                        name = parse_cpe_uri(uri)
+                    except CpeError:
+                        continue
+                    rows.append((name.part, name.vendor, name.product, uri))
+                self._conn.executemany(
+                    "UPDATE cpe_dict SET part = ?, vendor = ?, product = ? WHERE uri = ?", rows)
             self._conn.execute(
                 "INSERT OR IGNORE INTO meta (key, value) VALUES ('generation', '0')"
             )
@@ -272,11 +297,14 @@ class VulnDatabase:
         previous one.
 
         Only the CVE rows tagged after previous.generation are read
-        again; every other record object is shared with the previous
-        snapshot, replaced only where its exploit flag changed. The
-        generation index is reused unless a dictionary was ingested
-        after previous.generation. The reads share one transaction, so
-        the snapshot shows exactly one generation.
+        again, each distinct stored URI parsed once; every other record
+        object is shared with the previous snapshot, replaced only where
+        its exploit flag changed. The match index is patched: only the
+        buckets keyed by the old or new applicability of a re-read
+        record are rebuilt. The generation index is reused unless a
+        dictionary was ingested after previous.generation. The reads
+        share one transaction, so the snapshot shows exactly one
+        generation.
         """
         started = time.perf_counter()
         since = previous.generation
@@ -290,27 +318,36 @@ class VulnDatabase:
                     "SELECT DISTINCT e.cve_id FROM exploit_link e JOIN cve c ON c.id = e.cve_id"
                 )
             }
+            parsed: dict[str, CpeName | None] = {}
             applicability: dict[str, set[CpeName]] = {}
             for cve_id, uri in self._conn.execute(
                     "SELECT cve_id, uri FROM cve_cpe WHERE cve_id IN "
                     "(SELECT id FROM cve WHERE changed_generation > ?)", (since,)):
-                try:
-                    applicability.setdefault(cve_id, set()).add(parse_cpe_uri(uri))
-                except CpeError:
-                    log.warning("dropping stored unparseable URI %r for %s", uri, cve_id)
-            reread = 0
+                if uri not in parsed:
+                    try:
+                        parsed[uri] = parse_cpe_uri(uri)
+                    except CpeError:
+                        log.warning("dropping stored unparseable URI %r", uri)
+                        parsed[uri] = None
+                if parsed[uri] is not None:
+                    applicability.setdefault(cve_id, set()).add(parsed[uri])
+            reread: dict[str, CveRecord] = {}
+            # Match-index buckets a re-read record leaves or enters.
+            touched: set[tuple[str, str]] = set()
             for cve_id, cvss_json in self._conn.execute(
                     "SELECT id, cvss FROM cve WHERE changed_generation > ?", (since,)):
                 scores = frozenset(
                     (str(tag), float(score)) for tag, score in json.loads(cvss_json)
                 )
-                records[cve_id] = CveRecord(
+                if cve_id in records:
+                    touched.update(map(_bucket_key, records[cve_id].applicability))
+                records[cve_id] = reread[cve_id] = CveRecord(
                     id=cve_id,
                     cvss_scores=scores,
                     applicability=frozenset(applicability.get(cve_id, set())),
                     exploit_available=cve_id in exploited,
                 )
-                reread += 1
+                touched.update(map(_bucket_key, reread[cve_id].applicability))
             flagged = {cve_id for cve_id, record in records.items() if record.exploit_available}
             for cve_id in flagged ^ exploited:
                 records[cve_id] = replace(records[cve_id],
@@ -318,37 +355,49 @@ class VulnDatabase:
             dictionary_changed = self._read_meta("dictionary_generation") > since
             if dictionary_changed:
                 dict_names = []
-                for (uri,) in self._conn.execute("SELECT uri FROM cpe_dict"):
+                for part, vendor, product in self._conn.execute(
+                        "SELECT part, vendor, product FROM cpe_dict"):
                     try:
-                        dict_names.append(parse_cpe_uri(uri))
-                    except CpeError:
-                        log.warning("dropping stored unparseable dictionary URI %r", uri)
+                        dict_names.append(CpeName(part, vendor, product))
+                    except CpeError as exc:
+                        log.warning("dropping stored dictionary name: %s", exc)
                 gen_index = build_index_from_names(dict_names)
-        index: dict[tuple[str, str], list[tuple[str, CpeName]]] = {}
-        for record in records.values():
+        buckets: dict[tuple[str, str], list[tuple[str, CpeName]]] = {
+            key: [pair for pair in previous.match_index.get(key, ()) if pair[0] not in reread]
+            for key in touched
+        }
+        for record in reread.values():
             for name in record.applicability:
-                if name.vendor is None or name.product is None:
-                    key = _WILDCARD
-                else:
-                    key = (name.vendor, name.product)
-                index.setdefault(key, []).append((record.id, name))
+                buckets[_bucket_key(name)].append((record.id, name))
+        match_index = dict(previous.match_index)
+        for key, pairs in buckets.items():
+            if pairs:
+                match_index[key] = tuple(pairs)
+            else:
+                del match_index[key]
         log.info("snapshot of generation %d built in %.1f ms: %d records re-read, "
-                 "generation index %s", generation, (time.perf_counter() - started) * 1e3,
-                 reread, "rebuilt" if dictionary_changed else "reused")
+                 "%d match buckets rebuilt, generation index %s", generation,
+                 (time.perf_counter() - started) * 1e3, len(reread), len(touched),
+                 "rebuilt" if dictionary_changed else "reused")
         return DbSnapshot(
             generation=generation,
             records=records,
-            match_index={k: tuple(v) for k, v in index.items()},
+            match_index=match_index,
             gen_index=gen_index,
         )
 
     # -- ingestion -------------------------------------------------------
 
-    def _ingest_feed_locked(self, path: str, generation: int) -> None:
+    def _ingest_feed_locked(self, path: str, generation: int) -> int:
+        """Write one feed's CVE rows, tagged with the generation, and their
+        applicability; returns the number of CVE rows written. A CVE id
+        that repeats within the feed keeps its last item. Each distinct
+        applicability URI is parsed once."""
         with open(path, "r", encoding="utf-8") as fh:
             feed = json.load(fh)
-        items = feed.get("CVE_Items", [])
-        for position, item in enumerate(items):
+        stored: dict[str, str | None] = {}
+        rows: dict[str, tuple[str, set[str]]] = {}
+        for position, item in enumerate(feed.get("CVE_Items", [])):
             if not isinstance(item, dict):
                 log.warning("feed %s item %d is not an object; skipped", path, position)
                 continue
@@ -357,28 +406,35 @@ class VulnDatabase:
             if not cve_id or not CVE_ID_RE.fullmatch(str(cve_id)):
                 log.warning("feed %s item %d lacks a usable CVE id; skipped", path, position)
                 continue
-            cve_id = str(cve_id)
             scores = _extract_cvss(item.get("impact", {}))
-            names: set[str] = set()
+            uris: set[str] = set()
             for entry in _walk_nodes(item.get("configurations", {}).get("nodes", [])):
-                if entry.get("vulnerable") is False:
+                uri = entry.get("cpe22Uri") or entry.get("cpe23Uri")
+                if not uri or entry.get("vulnerable") is False:
                     continue
-                name = parse_applicability_uri(entry)
-                if name is not None:
-                    names.add(format_cpe_uri(name))
-            self._conn.execute(
-                "INSERT INTO cve (id, cvss, changed_generation) VALUES (?,?,?) "
-                "ON CONFLICT(id) DO UPDATE SET cvss=excluded.cvss, "
-                "changed_generation=excluded.changed_generation",
-                (cve_id, json.dumps(sorted(scores)), generation),
-            )
-            self._conn.execute("DELETE FROM cve_cpe WHERE cve_id = ?", (cve_id,))
-            self._conn.executemany(
-                "INSERT OR IGNORE INTO cve_cpe (cve_id, uri) VALUES (?,?)",
-                [(cve_id, uri) for uri in sorted(names)],
-            )
+                if uri not in stored:
+                    name = parse_applicability_uri(uri)
+                    stored[uri] = None if name is None else format_cpe_uri(name)
+                if stored[uri] is not None:
+                    uris.add(stored[uri])
+            rows[str(cve_id)] = (json.dumps(sorted(scores)), uris)
+        self._conn.executemany(
+            "INSERT INTO cve (id, cvss, changed_generation) VALUES (?,?,?) "
+            "ON CONFLICT(id) DO UPDATE SET cvss=excluded.cvss, "
+            "changed_generation=excluded.changed_generation",
+            [(cve_id, cvss, generation) for cve_id, (cvss, _) in rows.items()],
+        )
+        self._conn.executemany("DELETE FROM cve_cpe WHERE cve_id = ?",
+                               [(cve_id,) for cve_id in rows])
+        self._conn.executemany(
+            "INSERT OR IGNORE INTO cve_cpe (cve_id, uri) VALUES (?,?)",
+            [(cve_id, uri) for cve_id, (_, uris) in rows.items() for uri in sorted(uris)],
+        )
+        return len(rows)
 
-    def _ingest_dictionary_locked(self, path: str) -> None:
+    def _ingest_dictionary_locked(self, path: str) -> int:
+        """Add one dictionary's names; returns the number of new rows."""
+        rows = []
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
@@ -389,12 +445,15 @@ class VulnDatabase:
                 except CpeError as exc:
                     log.warning("%s:%d skipping malformed URI: %s", path, lineno, exc)
                     continue
-                self._conn.execute(
-                    "INSERT OR IGNORE INTO cpe_dict (uri) VALUES (?)",
-                    (format_cpe_uri(name),),
-                )
+                rows.append((format_cpe_uri(name), name.part, name.vendor, name.product))
+        return self._conn.executemany(
+            "INSERT OR IGNORE INTO cpe_dict (uri, part, vendor, product) VALUES (?,?,?,?)",
+            rows,
+        ).rowcount
 
-    def _ingest_exploits_locked(self, path: str) -> None:
+    def _ingest_exploits_locked(self, path: str) -> int:
+        """Add one exploit map's links; returns the number of new links."""
+        links = []
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
@@ -406,10 +465,10 @@ class VulnDatabase:
                         continue
                     log.warning("%s:%d skipping malformed exploit link %r", path, lineno, line)
                     continue
-                self._conn.execute(
-                    "INSERT OR IGNORE INTO exploit_link (exploit_id, cve_id) VALUES (?,?)",
-                    (parts[0], parts[1]),
-                )
+                links.append((parts[0], parts[1]))
+        return self._conn.executemany(
+            "INSERT OR IGNORE INTO exploit_link (exploit_id, cve_id) VALUES (?,?)", links,
+        ).rowcount
 
     def update_sources(self, feed_paths=(), dictionary_paths=(), exploit_paths=()) -> int:
         """Ingest all sources, bump the generation and clear the scan
@@ -421,19 +480,20 @@ class VulnDatabase:
         Cached results of the old generation are now stale, and no row of
         the new one exists yet: cache_store takes the same lock. Any
         failure rolls the whole update back: the previous generation,
-        data, and cache are untouched. Returns the new generation.
+        data, and cache are untouched. No snapshot is built: the next
+        snapshot() call builds the new generation's. Logs one INFO line
+        with the counts written. Returns the new generation.
         """
         with self._lock:
+            started = time.perf_counter()
             try:
                 with self._conn:
                     self._conn.execute("BEGIN IMMEDIATE")
                     new_generation = self._read_meta("generation") + 1
-                    for path in feed_paths:
-                        self._ingest_feed_locked(path, new_generation)
-                    for path in dictionary_paths:
-                        self._ingest_dictionary_locked(path)
-                    for path in exploit_paths:
-                        self._ingest_exploits_locked(path)
+                    cves = sum(self._ingest_feed_locked(path, new_generation)
+                               for path in feed_paths)
+                    names = sum(map(self._ingest_dictionary_locked, dictionary_paths))
+                    links = sum(map(self._ingest_exploits_locked, exploit_paths))
                     if dictionary_paths:
                         self._write_meta("dictionary_generation", new_generation)
                     self._write_meta("generation", new_generation)
@@ -441,7 +501,9 @@ class VulnDatabase:
             except Exception:
                 log.exception("update failed; generation unchanged")
                 raise
-            self._snapshot = self._build_snapshot(self._snapshot)
+            log.info("update to generation %d written in %.1f ms: %d CVE rows, "
+                     "%d dictionary rows, %d exploit links", new_generation,
+                     (time.perf_counter() - started) * 1e3, cves, names, links)
             return new_generation
 
     # -- cache ------------------------------------------------------------
@@ -489,4 +551,6 @@ class VulnDatabase:
                 log.info("database busy (%s); %d results not cached", exc, len(entries))
 
     def record_count(self) -> int:
-        return len(self.snapshot().records)
+        """CVE rows in the file, counted without building a snapshot."""
+        with self._lock:
+            return self._conn.execute("SELECT COUNT(*) FROM cve").fetchone()[0]

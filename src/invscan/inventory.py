@@ -13,7 +13,9 @@ import enum
 import hashlib
 import json
 import logging
+import operator
 from dataclasses import dataclass, fields
+from json.encoder import encode_basestring
 from pathlib import Path
 
 from .cpe import normalize_component
@@ -151,23 +153,24 @@ def load_inventory(path: str | Path) -> Inventory:
 
 
 _ABSENT = "\x00absent"
-_CANONICAL_FIELDS = tuple((f.name, f.name.lower()) for f in fields(Pvc))
-_CANONICAL_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
+_ABSENT_JSON = encode_basestring(_ABSENT)
+_CANONICAL_VALUES = operator.attrgetter(*(f.name for f in fields(Pvc)))
+_CANONICAL_TEMPLATE = "{" + ",".join(f"{encode_basestring(f.name.lower())}:%s"
+                                     for f in fields(Pvc)) + "}"
 
 
 def canonical_pvc_bytes(pvc: Pvc) -> bytes:
     """Canonical serialization: lowercase keys, every field in declared
     order, absent values as a fixed sentinel, UTF-8. Injective on the
-    field set, so it is safe as a cache-key preimage."""
-    doc = {}
-    for name, key in _CANONICAL_FIELDS:
-        value = getattr(pvc, name)
-        if value is None:
-            value = _ABSENT
-        elif isinstance(value, PvcKind):
-            value = value.value
-        doc[key] = value
-    return _CANONICAL_ENCODER.encode(doc).encode("utf-8")
+    field set, so it is safe as a cache-key preimage. The bytes are those
+    of the compact JSON object (ensure_ascii off), each string written
+    with the JSON encoder's own escaping; the kind is its string value."""
+    values = tuple([_ABSENT_JSON if value is None
+                    else encode_basestring(value) if type(value) is str
+                    else str(value) if type(value) is int
+                    else encode_basestring(value.value)
+                    for value in _CANONICAL_VALUES(pvc)])
+    return (_CANONICAL_TEMPLATE % values).encode("utf-8")
 
 
 def fingerprint_pvc(pvc: Pvc) -> bytes:

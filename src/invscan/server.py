@@ -19,6 +19,7 @@ jobs that nobody collects are dropped after REPORT_TTL_S.
 from __future__ import annotations
 
 import fnmatch
+import gc
 import ipaddress
 import json
 import logging
@@ -188,7 +189,8 @@ def add_credential(path: str, client_id: str) -> tuple[str, str]:
 def run_update(database: VulnDatabase, feeds_dir: str) -> int:
     """Ingest every feed (*.json), dictionary (*.txt), and exploit map
     (*.csv) in a directory, bump the generation and clear the scan
-    cache, atomically. Jobs already running keep the snapshot they
+    cache, atomically. Builds no snapshot: the database's next
+    snapshot() call does. Jobs already running keep the snapshot they
     started with."""
     base = pathlib.Path(feeds_dir)
     feeds = sorted(str(p) for p in base.glob("*.json"))
@@ -223,6 +225,13 @@ class VulnServer:
     # -- lifecycle ---------------------------------------------------------
 
     def start_workers(self) -> None:
+        """Start the workers, first moving every object alive now, the
+        startup snapshot above all, out of the collector's sight: full
+        collections then skip that immutable, acyclic heap instead of
+        walking it on whichever scan or update they land. Objects it
+        drops are still freed by reference counting."""
+        gc.collect()
+        gc.freeze()
         for n in range(self.config.worker_count):
             worker = threading.Thread(target=self._worker_loop,
                                       name=f"scan-worker-{n}", daemon=True)
@@ -236,6 +245,7 @@ class VulnServer:
         for worker in self._workers:
             worker.join(timeout=10)
         self._workers.clear()
+        gc.unfreeze()
 
     def _worker_loop(self) -> None:
         while True:
@@ -361,7 +371,11 @@ class VulnServer:
     # -- request handling ----------------------------------------------------
 
     def run_update(self, feeds_dir: str) -> int:
-        return run_update(self.database, feeds_dir)
+        """run_update, then build the new generation's snapshot here, so
+        the update pays for it rather than the next scan."""
+        generation = run_update(self.database, feeds_dir)
+        self.database.snapshot()
+        return generation
 
     def _seal_response(self, cred: ClientCredential, msg_type: MsgType,
                        body: dict) -> bytes:

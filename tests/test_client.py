@@ -16,7 +16,7 @@ from invscan.protocol import (MsgType, decode_frame, encode_frame,
                               open_message, result_response_body,
                               scan_accept_body, scan_reject_body,
                               seal_message)
-from conftest import TEST_SALT, TEST_SECRET, client_credential
+from conftest import TEST_SALT, TEST_SECRET, client_credential, feed_item, write_feed
 
 _INVENTORY_DOC = {
     "target_label": "host-1",
@@ -401,3 +401,20 @@ def test_cli_provisions_client(tmp_path):
         "server", "client", "add", "--id", "vsc-9",
         "--config", str(config_path)])
     assert repeat.exit_code != 0
+
+
+def test_cli_update_builds_no_snapshot(tmp_path, caplog):
+    feeds = tmp_path / "feeds"
+    feeds.mkdir()
+    write_feed(feeds / "nvd.json", [feed_item("CVE-2019-0001", cpes=["cpe:/a:acme:paint"])])
+    config_path = tmp_path / "server.json"
+    config_path.write_text(json.dumps({"db_path": str(tmp_path / "invscan.db")}),
+                           encoding="utf-8")
+    with caplog.at_level("INFO", logger="invscan.db"):
+        result = CliRunner().invoke(cli_main, [
+            "server", "update", "--feeds", str(feeds), "--config", str(config_path)])
+    assert result.exit_code == 0, result.output
+    assert "generation 1, 1 CVE records" in result.output
+    # opening the empty file builds the empty generation 0; nothing builds generation 1
+    built = [m for m in caplog.messages if m.startswith("snapshot of generation")]
+    assert [m.split(" built")[0] for m in built] == ["snapshot of generation 0"]

@@ -1,6 +1,8 @@
 """CPE name parsing, formatting, normalization, and matching."""
 
 import random
+import re
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -91,11 +93,28 @@ def test_normalize_idempotent():
         assert normalize_component(once) == once
 
 
+def _regex_normalize(value):
+    """The regex form normalize_component replaced, kept as its oracle."""
+    value = re.sub(r"\s+", "_", value.strip().lower()).replace(":", "")
+    return value or None
+
+
+# Every character str.isspace() holds, which both forms split on.
+_SPACES = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
+
+
+@given(st.text(st.one_of(st.characters(), st.sampled_from(_SPACES + ":İẞ"))))
+def test_normalize_matches_the_regex_form(raw):
+    assert normalize_component(raw) == _regex_normalize(raw)
+
+
 def test_name_rejects_unnormalized_components():
     with pytest.raises(CpeError):
         CpeName(part="a", vendor="has space")
     with pytest.raises(CpeError):
         CpeName(part="a", vendor="has:colon")
+    with pytest.raises(CpeError, match="language"):
+        CpeName(part="a", vendor="ok", language="no\u00a0break")
     with pytest.raises(CpeError):
         CpeName(part="q")
 

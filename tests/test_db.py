@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from invscan.cpe import CpeName, format_cpe_uri, parse_cpe_uri
 from invscan.db import CveRecord, DbError, PvcCacheEntry, VulnDatabase, cpe23_to_22
 from invscan.generation import ComponentCandidates, GenerationIndex, cartesian_expand
+from invscan.server import run_update
 from conftest import (brute_force_match, feed_item, make_database, one_name,
                       write_dictionary, write_exploit_map, write_feed)
 
@@ -446,7 +447,7 @@ def test_update_reuses_unchanged_records_and_logs_the_build(tmp_path, caplog):
     links = write_exploit_map(tmp_path / "e2.csv", [("EDB-1", "CVE-2020-0001")])
     with caplog.at_level("INFO", logger="invscan.db"):
         database.update_sources([feed], exploit_paths=[links])
-    after = database.snapshot()
+        after = database.snapshot()
     assert after.gen_index is before.gen_index
     assert after.records["CVE-2020-0001"].exploit_available
     assert after.records["CVE-2020-0002"].max_cvss() == 7.0
@@ -458,6 +459,78 @@ def test_update_reuses_unchanged_records_and_logs_the_build(tmp_path, caplog):
     database.update_sources([feed])
     # records no update touched are the same objects
     assert database.snapshot().records["CVE-2020-0002"] is after.records["CVE-2020-0002"]
+
+
+def test_update_builds_no_snapshot_and_logs_its_counts(tmp_path, caplog):
+    database = VulnDatabase(str(tmp_path / "db.sqlite"))
+    feeds = tmp_path / "feeds"
+    feeds.mkdir()
+    write_feed(feeds / "nvd.json", [
+        feed_item("CVE-2020-0001", cpes=["cpe:/a:adobe:reader"]),
+        feed_item("CVE-2020-0002", cpes=["cpe:/a:acme:paint"])])
+    write_dictionary(feeds / "dict.txt", ["cpe:/a:adobe:reader", "cpe:/a:acme:paint"])
+    write_exploit_map(feeds / "map.csv", [("EDB-1", "CVE-2020-0001")])
+    with caplog.at_level("INFO", logger="invscan.db"):
+        assert run_update(database, str(feeds)) == 1
+        assert database.record_count() == 2
+    assert not [m for m in caplog.messages if m.startswith("snapshot of generation")]
+    [line] = [m for m in caplog.messages if m.startswith("update to generation")]
+    assert "generation 1" in line and "2 CVE rows" in line
+    assert "2 dictionary rows" in line and "1 exploit links" in line
+    assert not any(word in line for word in ("adobe", "acme", "cpe:/", "CVE-"))
+    # the next read builds the new generation's snapshot
+    assert database.snapshot().generation == 1
+
+
+def test_feed_repeating_a_cve_keeps_its_last_item(tmp_path):
+    database = make_database(tmp_path, [
+        feed_item("CVE-2020-0001", cpes=["cpe:/a:acme:paint"], cvss3=5.0),
+        feed_item("CVE-2020-0002", cpes=["cpe:/a:acme:brush"]),
+        feed_item("CVE-2020-0001", cpes=["cpe:/a:zeta:ink", "cpe:/a:zeta:pen"], cvss3=9.8)])
+    assert database.record_count() == 2
+    record = database.snapshot().records["CVE-2020-0001"]
+    assert record.applicability == {parse_cpe_uri("cpe:/a:zeta:ink"),
+                                    parse_cpe_uri("cpe:/a:zeta:pen")}
+    assert record.max_cvss() == 9.8
+    reopened = VulnDatabase(str(tmp_path / "db.sqlite"))
+    assert reopened.snapshot().records == database.snapshot().records
+    assert ("acme", "paint") not in reopened.snapshot().match_index
+
+
+def test_open_fills_the_dictionary_fields_of_an_older_file(tmp_path):
+    uris = ["cpe:/a:acme:paint:1.0", "cpe:/o:apple:mac_os_x", "cpe:/o:google:android",
+            "cpe:/o:canonical:ubuntu_linux", "cpe:/h:zeta", "cpe:/a"]
+    expected = make_database(tmp_path, dictionary=uris, name="fresh").snapshot().gen_index
+    path = str(tmp_path / "old.sqlite")
+    conn = sqlite3.connect(path)
+    conn.executescript("""
+        CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
+        CREATE TABLE cpe_dict (uri TEXT PRIMARY KEY);
+        INSERT INTO meta VALUES ('generation', '2'), ('dictionary_generation', '1');
+    """)
+    with conn:
+        conn.executemany("INSERT INTO cpe_dict VALUES (?)", [(uri,) for uri in uris])
+    conn.close()
+    database = VulnDatabase(path)
+    assert database.snapshot().gen_index == expected
+    database.close()
+    assert VulnDatabase(path).snapshot().gen_index == expected
+
+
+def test_open_drops_a_stored_dictionary_name_that_is_not_normalized(tmp_path, caplog):
+    database = make_database(tmp_path, dictionary=["cpe:/a:acme:paint"])
+    database.close()
+    conn = sqlite3.connect(str(tmp_path / "db.sqlite"))
+    with conn:
+        conn.execute("INSERT INTO cpe_dict VALUES ('cpe:/a:big_corp:tool', 'a', 'big corp', "
+                     "'tool')")
+    conn.close()
+    with caplog.at_level("WARNING"):
+        index = VulnDatabase(str(tmp_path / "db.sqlite")).snapshot().gen_index
+    assert index.known_vendors == {"acme"}
+    assert index.known_products == {"paint"}
+    assert any("dropping stored dictionary name" in m and "not normalized" in m
+               for m in caplog.messages)
 
 
 _IDS = [f"CVE-2020-{n:04d}" for n in range(1, 7)]
@@ -500,6 +573,9 @@ def _apply(database, directory: Path, update, serial: int) -> None:
 
 
 def _buckets(snapshot):
+    """Each bucket's pairs as a set; no bucket is empty or holds a pair twice."""
+    for pairs in snapshot.match_index.values():
+        assert pairs and len(set(pairs)) == len(pairs)
     return {key: set(pairs) for key, pairs in snapshot.match_index.items()}
 
 

@@ -166,6 +166,30 @@ def test_canonical_bytes_deterministic(pvc):
     assert len(fingerprint_pvc(pvc)) == 32
 
 
+_any_text = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+                    max_size=12)
+_opt_any_text = st.none() | _any_text
+
+
+@given(st.builds(
+    Pvc, kind=st.sampled_from(list(PvcKind)),
+    name=_any_text.filter(lambda name: "_".join(name.lower().split()).replace(":", "")),
+    vendor=_opt_any_text, version=_opt_any_text, edition=_opt_any_text,
+    update=_opt_any_text, language=_opt_any_text, publisher=_opt_any_text,
+    display_version=_opt_any_text, service_pack=_opt_any_text, major=_opt_int,
+    minor=_opt_int, build=_opt_int, revision=_opt_int))
+def test_canonical_bytes_equal_the_json_encoder_form(pvc):
+    """The field-by-field writer against the documented form, escaping
+    of quotes, controls and non-ASCII text included."""
+    doc = {"kind": pvc.kind.value}
+    for key in ("name", "vendor", "version", "edition", "update", "language", "publisher",
+                "display_version", "service_pack", "major", "minor", "build", "revision"):
+        value = getattr(pvc, key)
+        doc[key] = "\x00absent" if value is None else value
+    expected = json.dumps(doc, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+    assert canonical_pvc_bytes(pvc) == expected
+
+
 def test_adversarial_near_collision_pairs():
     # absent vs present-but-similar values must fingerprint differently
     base = Pvc(kind=PvcKind.APPLICATION, name="x")

@@ -857,11 +857,37 @@ def test_idle_worker_keeps_no_old_snapshot(tmp_path):
     server.start_workers()
     try:
         wait_finished(server, token)
-        server.database.update_sources()
+        (tmp_path / "no-feeds").mkdir()
+        server.run_update(str(tmp_path / "no-feeds"))
         gc.collect()
         assert old() is None
     finally:
         server.stop_workers()
+
+
+def test_server_update_builds_the_new_snapshot_once(tmp_path, caplog):
+    server = make_server(tmp_path)
+    server.database.snapshot()
+    feeds = tmp_path / "delta"
+    feeds.mkdir()
+    write_feed(feeds / "nvd.json", [feed_item("CVE-2019-0002", cpes=["cpe:/a:acme:paint"])])
+    with caplog.at_level("INFO", logger="invscan.db"):
+        assert server.run_update(str(feeds)) == 2
+        [line] = [m for m in caplog.messages if m.startswith("snapshot of generation")]
+        snapshot = server.database.snapshot()
+        assert len([m for m in caplog.messages if m.startswith("snapshot of")]) == 1
+    assert "generation 2" in line and "1 records re-read" in line
+    assert "CVE-2019-0002" in snapshot.records
+
+
+def test_serving_heap_is_frozen_until_the_workers_stop(tmp_path):
+    server = make_server(tmp_path, worker_count=1)
+    server.start_workers()
+    try:
+        assert gc.get_freeze_count() > 0
+    finally:
+        server.stop_workers()
+    assert gc.get_freeze_count() == 0
 
 
 def test_delivered_job_is_freed_with_worker_idle(tmp_path):
