@@ -1,24 +1,25 @@
 """Vulnerability database: feed ingestion, persistence, matching, caching.
 
 Backed by a single sqlite file. Data changes only through update_sources,
-one transaction that ingests the sources, bumps the generation counter
-and clears the scan cache. Each CVE row a feed writes is tagged with the
-new generation, and an update that ingests a dictionary records its
-generation in meta. Readers work against an immutable per-generation
-snapshot (records, match index, generation index). Opening a file builds
-the snapshot of its generation from an empty one, so every row is read.
-After that snapshot() alone builds, whenever the file's generation has
-moved: an update builds nothing, and one made through this connection
-or another (another process) is picked up by the next snapshot() call.
-A new snapshot is built from the previous one: it re-reads only the CVE
-rows tagged after the previous generation, reuses every other record
-object and, unless a dictionary arrived since, the generation index,
-and rebuilds only the match-index buckets the re-read records left or
-entered.
+one transaction that ingests the sources and bumps the generation
+counter. Each CVE row a feed writes is tagged with the new generation,
+and an update that ingests a dictionary records its generation in meta.
+Readers work against an immutable per-generation snapshot (records,
+match index, generation index). Opening a file builds nothing: the first
+snapshot() call builds the snapshot of the file's generation from an
+empty one, so every row is read. After that snapshot() builds whenever
+the file's generation has moved: an update builds nothing, and one made
+through this connection or another (another process) is picked up by
+the next snapshot() call. A new snapshot is built from the previous one:
+it re-reads only the CVE rows tagged after the previous generation,
+reuses every other record object and, unless a dictionary arrived since,
+the generation index, and rebuilds only the match-index buckets the
+re-read records left or entered.
 
-A cache write never fails a scan: cache_store alone decides, and skips a
-batch scanned on a generation the file has left or one that meets a file
-another connection holds past the busy timeout.
+The scan cache lives in memory, in the live snapshot: a new generation
+starts it empty, and so does a restart. It holds at most
+CACHE_MAX_ENTRIES results, dropping the oldest first. Nothing about it
+touches the file.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import re
 import sqlite3
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .cpe import CpeError, CpeName, format_cpe_uri, normalize_component, parse_cpe_uri
 from .generation import ComponentCandidates, GenerationIndex, build_index_from_names
@@ -38,6 +39,9 @@ from .generation import ComponentCandidates, GenerationIndex, build_index_from_n
 log = logging.getLogger(__name__)
 
 CVE_ID_RE = re.compile(r"CVE-\d{4}-\d{4,}")
+
+# Scan results the live snapshot keeps; past this the oldest are dropped.
+CACHE_MAX_ENTRIES = 50_000
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -65,11 +69,6 @@ CREATE TABLE IF NOT EXISTS exploit_link (
     cve_id TEXT NOT NULL,
     UNIQUE (exploit_id, cve_id)
 );
-CREATE TABLE IF NOT EXISTS cache (
-    fingerprint TEXT PRIMARY KEY,
-    generation INTEGER NOT NULL,
-    cve_ids TEXT NOT NULL
-);
 """
 
 
@@ -94,19 +93,6 @@ class CveRecord:
         return max((score for _, score in self.cvss_scores), default=None)
 
 
-@dataclass(frozen=True)
-class PvcCacheEntry:
-    """Cached scan outcome for one component fingerprint: the matched ids.
-
-    Valid only for scans against a snapshot of the generation it is
-    stored under; cache_store writes it only while the file is still at
-    the generation it was scanned on.
-    """
-
-    fingerprint: bytes
-    cve_ids: frozenset[str]
-
-
 # Index key for names whose vendor or product is unspecified; those must
 # be checked against every candidate set.
 _WILDCARD = ("*", "*")
@@ -120,19 +106,24 @@ def _bucket_key(name: CpeName) -> tuple[str, str]:
 
 @dataclass(frozen=True)
 class DbSnapshot:
-    """Immutable view of one database generation.
+    """Immutable view of one database generation, plus its scan cache.
 
     match_index maps (vendor, product) to the applicability pairs that can
     only match names carrying those exact values; pairs with an
     unspecified vendor or product live in the wildcard bucket and are
     checked against everything. Lookup through the index is equivalent to
     the brute-force all-pairs scan over the candidates' expansion.
+
+    cache maps a component fingerprint to the ids scanned on this
+    snapshot, oldest first; only VulnDatabase reads and writes it.
     """
 
     generation: int
     records: dict[str, CveRecord]
     match_index: dict[tuple[str, str], tuple[tuple[str, CpeName], ...]]
     gen_index: GenerationIndex
+    cache: dict[bytes, frozenset[str]] = field(default_factory=dict, repr=False,
+                                               compare=False)
 
     def match_cpes_to_cves(self, candidates: ComponentCandidates) -> set[str]:
         """Ids of every record with an applicability name matching a name
@@ -224,12 +215,14 @@ def _extract_cvss(impact: dict) -> list[tuple[str, float]]:
 class VulnDatabase:
     """Single-file store plus the per-generation in-memory snapshot.
 
-    Updates, cache access and the generation check in snapshot() take
-    the instance lock; readers use the immutable snapshot.
+    Updates and the generation check in snapshot() take the instance
+    lock; readers use the immutable snapshot. A cache store takes only
+    the cache lock, a lookup no lock.
     """
 
     def __init__(self, path: str = ":memory:") -> None:
         self._lock = threading.RLock()
+        self._cache_lock = threading.Lock()
         self._conn = sqlite3.connect(path, check_same_thread=False)
         self._conn.executescript(_SCHEMA)
         with self._conn:
@@ -242,9 +235,8 @@ class VulnDatabase:
                                    "changed_generation INTEGER NOT NULL DEFAULT 0")
             for legacy in sorted(columns & {"description", "published"}):
                 self._conn.execute(f"ALTER TABLE cve DROP COLUMN {legacy}")
-            # A file whose cache rows still carry the expanded names.
-            if "cpes" in {row[1] for row in self._conn.execute("PRAGMA table_info(cache)")}:
-                self._conn.execute("ALTER TABLE cache DROP COLUMN cpes")
+            # A file from when the scan cache was a table.
+            self._conn.execute("DROP TABLE IF EXISTS cache")
             # A file whose dictionary rows carry only the URI: the fields
             # the generation index reads are parsed once, here. A row
             # that does not parse keeps them unset, and open drops it.
@@ -263,9 +255,8 @@ class VulnDatabase:
             self._conn.execute(
                 "INSERT OR IGNORE INTO meta (key, value) VALUES ('generation', '0')"
             )
-        empty = DbSnapshot(generation=-1, records={}, match_index={},
-                           gen_index=build_index_from_names(()))
-        self._snapshot = self._build_snapshot(empty)
+        self._snapshot = DbSnapshot(generation=-1, records={}, match_index={},
+                                    gen_index=build_index_from_names(()))
 
     def close(self) -> None:
         with self._lock:
@@ -471,18 +462,17 @@ class VulnDatabase:
         ).rowcount
 
     def update_sources(self, feed_paths=(), dictionary_paths=(), exploit_paths=()) -> int:
-        """Ingest all sources, bump the generation and clear the scan
-        cache, in one transaction; the only way the data changes.
+        """Ingest all sources and bump the generation, in one
+        transaction; the only way the data changes.
 
         Each CVE row a feed writes is tagged with the new generation, read
         inside the transaction so no other writer can take it; ingesting
         a dictionary records the new generation as the dictionary's.
-        Cached results of the old generation are now stale, and no row of
-        the new one exists yet: cache_store takes the same lock. Any
-        failure rolls the whole update back: the previous generation,
-        data, and cache are untouched. No snapshot is built: the next
-        snapshot() call builds the new generation's. Logs one INFO line
-        with the counts written. Returns the new generation.
+        Any failure rolls the whole update back: the previous generation
+        and data are untouched. No snapshot is built: the next
+        snapshot() call builds the new generation's, with an empty cache.
+        Logs one INFO line with the counts written. Returns the new
+        generation.
         """
         with self._lock:
             started = time.perf_counter()
@@ -497,7 +487,6 @@ class VulnDatabase:
                     if dictionary_paths:
                         self._write_meta("dictionary_generation", new_generation)
                     self._write_meta("generation", new_generation)
-                    self._conn.execute("DELETE FROM cache")
             except Exception:
                 log.exception("update failed; generation unchanged")
                 raise
@@ -508,47 +497,35 @@ class VulnDatabase:
 
     # -- cache ------------------------------------------------------------
 
-    def cache_lookup(self, fingerprint: bytes, generation: int) -> PvcCacheEntry | None:
-        """Entry for the fingerprint stored under the given generation (the
-        caller's pinned one), or None. A row of another generation is a
-        miss and stays; the next store of the fingerprint overwrites it."""
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT cve_ids FROM cache WHERE fingerprint = ? AND generation = ?",
-                (fingerprint.hex(), generation),
-            ).fetchone()
-        if row is None:
+    def cache_lookup(self, fingerprint: bytes, generation: int) -> frozenset[str] | None:
+        """Ids stored for the fingerprint under the given generation (the
+        caller's pinned one), or None; a generation other than the live
+        snapshot's always misses."""
+        snapshot = self._snapshot
+        if snapshot.generation != generation:
             return None
-        return PvcCacheEntry(fingerprint=fingerprint, cve_ids=frozenset(json.loads(row[0])))
+        return snapshot.cache.get(fingerprint)
 
-    def cache_store(self, generation: int, entries: list[PvcCacheEntry]) -> None:
-        """Persist a batch scanned on the given generation in one transaction.
-
-        An empty batch starts no transaction. The batch is skipped with one
-        INFO line, never an exception, when the file's generation (read in
-        the transaction, so no update lands in between) has moved on, or
-        when another connection holds the file past the busy timeout.
-        """
-        if not entries:
+    def cache_store(self, generation: int,
+                    misses: list[tuple[bytes, frozenset[str]]]) -> None:
+        """Keep a batch of (fingerprint, ids) scanned on the given
+        generation, then drop the oldest entries past CACHE_MAX_ENTRIES.
+        A batch of a generation the live snapshot has left is skipped
+        with one INFO line."""
+        if not misses:
             return
-        with self._lock:
-            try:
-                with self._conn:
-                    self._conn.execute("BEGIN IMMEDIATE")
-                    current = self._read_meta("generation")
-                    if current != generation:
-                        log.info("generation moved from %d to %d during the scan; "
-                                 "%d results not cached", generation, current, len(entries))
-                        return
-                    self._conn.executemany(
-                        "INSERT INTO cache (fingerprint, generation, cve_ids) "
-                        "VALUES (?,?,?) ON CONFLICT(fingerprint) DO UPDATE SET "
-                        "generation=excluded.generation, cve_ids=excluded.cve_ids",
-                        [(entry.fingerprint.hex(), generation, json.dumps(sorted(entry.cve_ids)))
-                         for entry in entries],
-                    )
-            except sqlite3.OperationalError as exc:
-                log.info("database busy (%s); %d results not cached", exc, len(entries))
+        snapshot = self._snapshot
+        if snapshot.generation != generation:
+            log.info("generation moved from %d to %d during the scan; "
+                     "%d results not cached", generation, snapshot.generation, len(misses))
+            return
+        cache = snapshot.cache
+        with self._cache_lock:
+            cache.update(misses)
+            excess = len(cache) - CACHE_MAX_ENTRIES
+            if excess > 0:
+                for fingerprint in list(itertools.islice(cache, excess)):
+                    del cache[fingerprint]
 
     def record_count(self) -> int:
         """CVE rows in the file, counted without building a snapshot."""

@@ -3,10 +3,11 @@
 A job walks its inventory in order against the database snapshot pinned
 at job start, so a concurrent update cannot tear its results; one
 component failing never aborts its siblings. The job's cache misses are
-handed to the database together at the end, which stores them in one
-transaction or skips them. The report keeps the pinned snapshot, so its
-serialized scores and exploit flags come from the same generation as its
-results and summary.
+handed to the database together at the end, which keeps them in the
+daemon's memory while the snapshot's generation is still the live one,
+and skips them once an update has moved on. The report keeps the pinned
+snapshot, so its serialized scores and exploit flags come from the same
+generation as its results and summary.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from .db import DbSnapshot, PvcCacheEntry, VulnDatabase
+from .db import DbSnapshot, VulnDatabase
 from .generation import generate_cpes
 from .inventory import Inventory, Pvc, fingerprint_pvc, pvc_to_dict
 
@@ -69,24 +70,23 @@ class ScanJob:
                                       repr=False, compare=False)
 
 
-def _scan(pvc: Pvc, database: VulnDatabase,
-          snapshot: DbSnapshot) -> tuple[PvcScanResult, PvcCacheEntry | None]:
+def _scan(pvc: Pvc, database: VulnDatabase, snapshot: DbSnapshot
+          ) -> tuple[PvcScanResult, tuple[bytes, frozenset[str]] | None]:
     """Scan one component against the snapshot; returns the result and,
-    on a cache miss, the entry that caches it.
+    on a cache miss, the fingerprint and ids to cache.
 
-    A cached row counts only when it was stored under the snapshot's own
-    generation.
+    A cached result counts only when it was stored under the snapshot's
+    own generation.
     """
     if snapshot.generation < 1:
         raise EngineError("database has no completed update; run an update first")
     fingerprint = fingerprint_pvc(pvc)
     cached = database.cache_lookup(fingerprint, snapshot.generation)
     if cached is not None:
-        return PvcScanResult(pvc=pvc, cve_ids=cached.cve_ids, cache_hit=True), None
+        return PvcScanResult(pvc=pvc, cve_ids=cached, cache_hit=True), None
     candidates = generate_cpes(pvc, snapshot.gen_index)
-    entry = PvcCacheEntry(fingerprint=fingerprint,
-                          cve_ids=frozenset(snapshot.match_cpes_to_cves(candidates)))
-    return PvcScanResult(pvc=pvc, cve_ids=entry.cve_ids, cache_hit=False), entry
+    cve_ids = frozenset(snapshot.match_cpes_to_cves(candidates))
+    return PvcScanResult(pvc=pvc, cve_ids=cve_ids, cache_hit=False), (fingerprint, cve_ids)
 
 
 def scan_pvc(pvc: Pvc, database: VulnDatabase) -> PvcScanResult:
@@ -97,9 +97,9 @@ def scan_pvc(pvc: Pvc, database: VulnDatabase) -> PvcScanResult:
     the snapshot's generation.
     """
     snapshot = database.snapshot()
-    result, entry = _scan(pvc, database, snapshot)
-    if entry is not None:
-        database.cache_store(snapshot.generation, [entry])
+    result, miss = _scan(pvc, database, snapshot)
+    if miss is not None:
+        database.cache_store(snapshot.generation, [miss])
     return result
 
 
@@ -126,21 +126,21 @@ def execute_job(job: ScanJob, database: VulnDatabase) -> ScanReport:
     pinned snapshot; then hand the job's misses to the cache in one batch."""
     snapshot = database.snapshot()
     results: list[PvcScanResult] = []
-    misses: list[PvcCacheEntry] = []
-    for pvc in job.inventory.pvcs:
+    misses: list[tuple[bytes, frozenset[str]]] = []
+    for position, pvc in enumerate(job.inventory.pvcs):
         try:
-            result, entry = _scan(pvc, database, snapshot)
+            result, miss = _scan(pvc, database, snapshot)
         except Exception as exc:
-            log.exception("scan failed for component %r", pvc.name)
-            result, entry = PvcScanResult(
+            log.exception("scan failed for component %d of the inventory", position)
+            result, miss = PvcScanResult(
                 pvc=pvc,
                 cve_ids=frozenset(),
                 cache_hit=False,
                 error=f"{type(exc).__name__}: {exc}",
             ), None
         results.append(result)
-        if entry is not None:
-            misses.append(entry)
+        if miss is not None:
+            misses.append(miss)
     database.cache_store(snapshot.generation, misses)
     total, max_cvss, exploit_count = _summarize(results, snapshot)
     return ScanReport(

@@ -14,6 +14,7 @@ import hashlib
 import json
 import logging
 import operator
+import re
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -63,11 +64,16 @@ class Pvc:
                 raise InventoryError(f"pvc field {part} must be a non-negative integer, got {value!r}")
         # NUL can't appear in any real inventory value, and keeping it out
         # lets the canonical serialization reserve a NUL-prefixed sentinel
-        # for absent fields without risking collisions.
+        # for absent fields without risking collisions. A lone surrogate
+        # (JSON "\ud800") has no UTF-8 form, so it could not be fingerprinted.
         for field_name in ("name",) + _STRING_FIELDS:
             value = getattr(self, field_name)
-            if value is not None and "\x00" in value:
+            if value is None:
+                continue
+            if "\x00" in value:
                 raise InventoryError(f"pvc field {field_name} contains a NUL character")
+            if _SURROGATE.search(value):
+                raise InventoryError(f"pvc field {field_name} contains a lone surrogate")
 
 
 @dataclass(frozen=True)
@@ -76,6 +82,7 @@ class Inventory:
     pvcs: tuple[Pvc, ...]
 
 
+_SURROGATE = re.compile("[\ud800-\udfff]")
 _STRING_FIELDS = ("vendor", "version", "edition", "update", "language",
                   "publisher", "display_version", "service_pack")
 _INT_FIELDS = ("major", "minor", "build", "revision")

@@ -188,10 +188,10 @@ def add_credential(path: str, client_id: str) -> tuple[str, str]:
 
 def run_update(database: VulnDatabase, feeds_dir: str) -> int:
     """Ingest every feed (*.json), dictionary (*.txt), and exploit map
-    (*.csv) in a directory, bump the generation and clear the scan
-    cache, atomically. Builds no snapshot: the database's next
-    snapshot() call does. Jobs already running keep the snapshot they
-    started with."""
+    (*.csv) in a directory and bump the generation, atomically. Builds
+    no snapshot: the database's next snapshot() call does, with an empty
+    scan cache. Jobs already running keep the snapshot they started
+    with."""
     base = pathlib.Path(feeds_dir)
     feeds = sorted(str(p) for p in base.glob("*.json"))
     dictionaries = sorted(str(p) for p in base.glob("*.txt"))
@@ -225,11 +225,13 @@ class VulnServer:
     # -- lifecycle ---------------------------------------------------------
 
     def start_workers(self) -> None:
-        """Start the workers, first moving every object alive now, the
-        startup snapshot above all, out of the collector's sight: full
-        collections then skip that immutable, acyclic heap instead of
-        walking it on whichever scan or update they land. Objects it
-        drops are still freed by reference counting."""
+        """Build the startup snapshot, then start the workers, first
+        moving every object alive now, that snapshot above all, out of
+        the collector's sight: full collections then skip that
+        immutable, acyclic heap instead of walking it on whichever scan
+        or update they land. Objects it drops are still freed by
+        reference counting."""
+        self.database.snapshot()
         gc.collect()
         gc.freeze()
         for n in range(self.config.worker_count):

@@ -1,14 +1,17 @@
 """Feed ingestion, persistence, matching, and the generation-scoped cache."""
 
 import sqlite3
+import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from invscan import db
 from invscan.cpe import CpeName, format_cpe_uri, parse_cpe_uri
-from invscan.db import CveRecord, DbError, PvcCacheEntry, VulnDatabase, cpe23_to_22
+from invscan.db import CveRecord, DbError, VulnDatabase, cpe23_to_22
 from invscan.generation import ComponentCandidates, GenerationIndex, cartesian_expand
 from invscan.server import run_update
 from conftest import (brute_force_match, feed_item, make_database, one_name,
@@ -290,19 +293,15 @@ def test_indexed_matching_equals_brute_force(applicability, queries):
 
 # -- cache and generations --------------------------------------------------------
 
-def _entry():
-    return PvcCacheEntry(fingerprint=b"\x01" * 32, cve_ids=frozenset({"CVE-2020-0001"}))
+_FINGERPRINT = b"\x01" * 32
+_IDS_CACHED = frozenset({"CVE-2020-0001"})
 
 
 def test_cache_store_then_lookup(tmp_path):
     database = make_database(tmp_path, [feed_item("CVE-2020-0001")])
     generation = database.snapshot().generation
-    entry = _entry()
-    database.cache_store(generation, [entry])
-    got = database.cache_lookup(entry.fingerprint, generation)
-    assert got is not None
-    assert got.fingerprint == entry.fingerprint
-    assert got.cve_ids == entry.cve_ids
+    database.cache_store(generation, [(_FINGERPRINT, _IDS_CACHED)])
+    assert database.cache_lookup(_FINGERPRINT, generation) == _IDS_CACHED
 
 
 def test_cache_unknown_fingerprint(tmp_path):
@@ -312,44 +311,93 @@ def test_cache_unknown_fingerprint(tmp_path):
 
 def test_cache_invalidated_by_generation_bump(tmp_path):
     database = make_database(tmp_path, [feed_item("CVE-2020-0001")])
-    entry = _entry()
-    database.cache_store(1, [entry])
+    assert database.snapshot().generation == 1
+    database.cache_store(1, [(_FINGERPRINT, _IDS_CACHED)])
     database.update_sources()
     assert database.snapshot().generation == 2
-    assert database.cache_lookup(entry.fingerprint, 2) is None
-    # a job pinned to the old generation misses too: the update purged it
-    assert database.cache_lookup(entry.fingerprint, 1) is None
+    assert database.cache_lookup(_FINGERPRINT, 2) is None
+    # a job pinned to the old generation misses too: its cache went with it
+    assert database.cache_lookup(_FINGERPRINT, 1) is None
 
 
 def test_cache_store_skips_stale_generation(tmp_path, caplog):
     database = make_database(tmp_path, [feed_item("CVE-2020-0001")])
-    entry = _entry()
     database.update_sources()
+    assert database.snapshot().generation == 2
     with caplog.at_level("INFO", logger="invscan.db"):
-        database.cache_store(1, [entry])
-    assert database.cache_lookup(entry.fingerprint, 1) is None
-    assert database.cache_lookup(entry.fingerprint, 2) is None
+        database.cache_store(1, [(_FINGERPRINT, _IDS_CACHED)])
+    assert database.cache_lookup(_FINGERPRINT, 1) is None
+    assert database.cache_lookup(_FINGERPRINT, 2) is None
     assert any("results not cached" in m for m in caplog.messages)
+
+
+def test_cache_keeps_the_newest_entries_up_to_its_cap(tmp_path, monkeypatch):
+    monkeypatch.setattr(db, "CACHE_MAX_ENTRIES", 3)
+    database = make_database(tmp_path, [feed_item("CVE-2020-0001")])
+    generation = database.snapshot().generation
+    fingerprints = [bytes([n]) * 32 for n in range(5)]
+    database.cache_store(generation, [(fingerprints[0], _IDS_CACHED)])
+    database.cache_store(generation, [(fp, frozenset()) for fp in fingerprints[1:]])
+    assert database.cache_lookup(fingerprints[0], generation) is None
+    assert database.cache_lookup(fingerprints[1], generation) is None
+    assert [database.cache_lookup(fp, generation) for fp in fingerprints[2:]] == [frozenset()] * 3
+
+
+def test_concurrent_stores_keep_the_cap_and_every_entry_whole(tmp_path, monkeypatch):
+    monkeypatch.setattr(db, "CACHE_MAX_ENTRIES", 50)
+    database = make_database(tmp_path, [feed_item("CVE-2020-0001")])
+    generation = database.snapshot().generation
+    errors = []
+
+    def store(worker):
+        try:
+            for batch in range(300):
+                fingerprints = [f"{worker}-{batch}-{k}".encode() for k in range(3)]
+                database.cache_store(generation, [(fp, frozenset({fp})) for fp in fingerprints])
+                database.cache_lookup(fingerprints[0], generation)
+        except Exception as exc:
+            errors.append(exc)
+
+    workers = [threading.Thread(target=store, args=(n,)) for n in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert errors == []
+    cache = database.snapshot().cache
+    assert len(cache) == 50
+    assert all(ids == {fingerprint} for fingerprint, ids in cache.items())
 
 
 def test_update_through_another_connection_is_seen(tmp_path):
     """A daemon's database sees an update made by another process (here
-    a second connection to the same file)."""
+    a second connection to the same file), and never answers the new
+    generation from what it learned on the old one."""
     daemon = make_database(tmp_path, [feed_item("CVE-2020-0001")])
     pinned = daemon.snapshot()
-    entry = _entry()
     updater = VulnDatabase(str(tmp_path / "db.sqlite"))
     feed = write_feed(tmp_path / "f2.json", [feed_item("CVE-2020-0002")])
     assert updater.update_sources([feed], [], []) == 2
-    # A result computed on the old generation is not stored into the new.
-    daemon.cache_store(pinned.generation, [entry])
-    assert updater.cache_lookup(entry.fingerprint, 1) is None
-    assert updater.cache_lookup(entry.fingerprint, 2) is None
+    # a job pinned to the old snapshot stores under its own generation
+    daemon.cache_store(pinned.generation, [(_FINGERPRINT, _IDS_CACHED)])
     snapshot = daemon.snapshot()
     assert snapshot is not pinned and snapshot.generation == 2
     assert "CVE-2020-0002" in snapshot.records
-    daemon.cache_store(snapshot.generation, [entry])
-    assert updater.cache_lookup(entry.fingerprint, 2) is not None
+    assert daemon.cache_lookup(_FINGERPRINT, 2) is None
+    assert daemon.cache_lookup(_FINGERPRINT, 1) is None
+    daemon.cache_store(snapshot.generation, [(_FINGERPRINT, _IDS_CACHED)])
+    assert daemon.cache_lookup(_FINGERPRINT, 2) == _IDS_CACHED
+    # a job still pinned to generation 1 never reads what generation 2 learned
+    assert daemon.cache_lookup(_FINGERPRINT, pinned.generation) is None
+    # the cache is the daemon's own: nothing of it reaches the file
+    assert updater.snapshot().generation == 2
+    assert updater.cache_lookup(_FINGERPRINT, 2) is None
     updater.close()
 
 
@@ -375,8 +423,8 @@ def test_generation_survives_reopen(tmp_path):
 def test_update_failure_rolls_back(tmp_path):
     feed = write_feed(tmp_path / "f.json", [feed_item("CVE-2020-0001")])
     database = make_database(tmp_path, [feed_item("CVE-2020-0001")])
-    entry = _entry()
-    database.cache_store(1, [entry])
+    assert database.snapshot().generation == 1
+    database.cache_store(1, [(_FINGERPRINT, _IDS_CACHED)])
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(Exception):
@@ -389,8 +437,8 @@ def test_update_failure_rolls_back(tmp_path):
         database.update_sources([feed2, str(bad)], [], [])
     assert database.record_count() == 1
     assert "CVE-2020-0002" not in database.snapshot().records
-    # the cache purge rolled back with the rest
-    assert database.cache_lookup(entry.fingerprint, 1) is not None
+    # the generation did not move, so what was learned on it still answers
+    assert database.cache_lookup(_FINGERPRINT, 1) == _IDS_CACHED
 
 
 # -- schema upgrade and incremental snapshots ---------------------------------------
@@ -413,14 +461,13 @@ def test_open_upgrades_a_file_of_the_old_schema(tmp_path):
     """)
     with conn:
         conn.execute("INSERT INTO cache VALUES (?,?,?,?)",
-                     (_entry().fingerprint.hex(), 3, '["CVE-2020-0001"]',
+                     (_FINGERPRINT.hex(), 3, '["CVE-2020-0001"]',
                       '["cpe:/a:adobe:reader:9.0"]'))
     conn.close()
     database = VulnDatabase(path)
     assert database.snapshot().generation == 3
-    # the cached ids survive the dropped column, and new rows store without it
-    assert database.cache_lookup(_entry().fingerprint, 3) == _entry()
-    database.cache_store(3, [PvcCacheEntry(fingerprint=b"\x02" * 32, cve_ids=frozenset())])
+    # the old cache table is gone, and its rows with it
+    assert database.cache_lookup(_FINGERPRINT, 3) is None
     assert database.snapshot().records == {"CVE-2020-0001": CveRecord(
         id="CVE-2020-0001", cvss_scores=frozenset({("3.1", 9.8)}),
         applicability=frozenset({parse_cpe_uri("cpe:/a:adobe:reader")}))}
@@ -431,10 +478,10 @@ def test_open_upgrades_a_file_of_the_old_schema(tmp_path):
     database.close()
     conn = sqlite3.connect(path)
     columns = [row[1] for row in conn.execute("PRAGMA table_info(cve)")]
-    cache_columns = [row[1] for row in conn.execute("PRAGMA table_info(cache)")]
+    tables = {row[0] for row in conn.execute("SELECT name FROM sqlite_master WHERE type = 'table'")}
     conn.close()
     assert columns == ["id", "cvss", "changed_generation"]
-    assert cache_columns == ["fingerprint", "generation", "cve_ids"]
+    assert tables == {"meta", "cve", "cve_cpe", "cpe_dict", "exploit_link"}
 
 
 def test_update_reuses_unchanged_records_and_logs_the_build(tmp_path, caplog):

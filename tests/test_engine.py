@@ -117,8 +117,7 @@ def test_update_clears_cache_then_rescan_misses_then_hits(tmp_path):
     inventory = catalog_inventory(5)
     execute_job(ScanJob(token="t1", client_id="c1", inventory=inventory), database)
     database.update_sources()
-    with sqlite3.connect(str(tmp_path / "db.sqlite")) as conn:
-        assert conn.execute("SELECT COUNT(*) FROM cache").fetchone() == (0,)
+    assert database.snapshot().cache == {}
     rescan = execute_job(ScanJob(token="t2", client_id="c1", inventory=inventory),
                          database)
     assert not any(result.cache_hit for result in rescan.results)
@@ -128,19 +127,23 @@ def test_update_clears_cache_then_rescan_misses_then_hits(tmp_path):
 
 
 def test_all_hit_job_starts_no_write_transaction(tmp_path):
+    """A cold job writes nothing to the file; a job whose snapshot is
+    current runs one statement, the generation read in snapshot()."""
     database = catalog_database(tmp_path)
     inventory = catalog_inventory(5)
     statements = []
     database._conn.set_trace_callback(statements.append)
     execute_job(ScanJob(token="t1", client_id="c1", inventory=inventory), database)
-    assert "BEGIN IMMEDIATE" in statements
+    assert statements, "the snapshot build runs on the traced connection"
+    assert not any(statement.startswith(("BEGIN IMMEDIATE", "INSERT", "UPDATE", "DELETE"))
+                   for statement in statements)
     statements.clear()
     again = execute_job(ScanJob(token="t2", client_id="c1", inventory=inventory),
                         database)
     database._conn.set_trace_callback(None)
     assert all(result.cache_hit for result in again.results)
-    assert statements, "the cache lookups run on the traced connection"
-    assert not any(statement.startswith("BEGIN") for statement in statements)
+    [statement] = statements
+    assert statement.startswith("SELECT value FROM meta")
 
 
 def test_scan_requires_initialized_database(tmp_path):
@@ -293,12 +296,17 @@ class _FaultyLookups:
         return self._database.cache_lookup(fingerprint, generation)
 
 
-def test_one_component_failing_never_aborts_siblings(tmp_path):
+def test_one_component_failing_never_aborts_siblings(tmp_path, caplog):
     database = catalog_database(tmp_path)
     inventory = catalog_inventory(5)
     poisoned = {fingerprint_pvc(inventory.pvcs[2])}
     job = ScanJob(token="t-fault", client_id="c1", inventory=inventory)
-    report = execute_job(job, _FaultyLookups(database, poisoned))
+    with caplog.at_level("INFO"):
+        report = execute_job(job, _FaultyLookups(database, poisoned))
+    # the failure is logged by position, never by inventory contents
+    [record] = [r for r in caplog.records if r.name == "invscan.engine"]
+    assert "component 2" in record.getMessage()
+    assert not any(name in caplog.text for name, _, _, _ in _CATALOG)
     failed = report.results[2]
     assert failed.error is not None
     assert "injected lookup failure" in failed.error
@@ -310,8 +318,9 @@ def test_one_component_failing_never_aborts_siblings(tmp_path):
 
 
 def test_job_keeps_its_results_while_another_connection_writes(tmp_path, caplog):
-    """A cache store that cannot get the file's write lock is skipped; the
-    job still returns its results."""
+    """While another connection holds the file's write lock, a job still
+    returns its results and caches them: nothing about the cache waits
+    on the file."""
     database = catalog_database(tmp_path)
     reference = catalog_database(tmp_path, name="reference")
     inventory = catalog_inventory(4)
@@ -324,16 +333,16 @@ def test_job_keeps_its_results_while_another_connection_writes(tmp_path, caplog)
         with caplog.at_level("INFO", logger="invscan.db"):
             report = execute_job(ScanJob(token="t-busy", client_id="c1",
                                          inventory=inventory), database)
+            rescan = execute_job(ScanJob(token="t-again", client_id="c1",
+                                         inventory=inventory), database)
     finally:
         writer.execute("ROLLBACK")
         writer.close()
     assert all(result.error is None for result in report.results)
     assert ([result.cve_ids for result in report.results]
             == [result.cve_ids for result in expected.results])
-    assert any("results not cached" in m for m in caplog.messages)
-    rescan = execute_job(ScanJob(token="t-again", client_id="c1", inventory=inventory),
-                         database)
-    assert not any(result.cache_hit for result in rescan.results)
+    assert not any("not cached" in m for m in caplog.messages)
+    assert all(result.cache_hit for result in rescan.results)
 
 
 def test_summary_recomputable_from_results(tmp_path):

@@ -212,6 +212,23 @@ def test_nul_in_string_field_rejected():
         Pvc(kind=PvcKind.APPLICATION, name="a\x00b")
 
 
+@pytest.mark.parametrize("field", ["name", "vendor", "publisher", "display_version"])
+@pytest.mark.parametrize("text", ["\ud800", "x\udfff", "\udc00y"])
+def test_lone_surrogate_in_string_field_rejected(field, text):
+    # no UTF-8 form, so the component could not be fingerprinted
+    with pytest.raises(InventoryError, match="lone surrogate"):
+        Pvc(kind=PvcKind.APPLICATION, **{"name": "x", field: text})
+
+
+def test_lone_surrogate_rejected_at_intake():
+    doc = json.loads('{"target_label": "t", "pvcs": [{"kind": "app", "name": "a\\ud800"}]}')
+    with pytest.raises(InventoryError, match="lone surrogate"):
+        inventory_from_dict(doc)
+    # a surrogate pair is one ordinary character
+    pair = json.loads('{"target_label": "t", "pvcs": [{"kind": "app", "name": "a\\ud83d\\ude00"}]}')
+    assert inventory_from_dict(pair).pvcs[0].name == "a\U0001f600"
+
+
 @given(pvc_strategy)
 def test_dict_round_trip_identity(pvc):
     assert pvc_from_dict(pvc_to_dict(pvc)) == pvc

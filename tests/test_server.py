@@ -777,6 +777,18 @@ def test_bad_inventory_rejected_on_the_wire(tmp_path):
     assert opened.body["reason"].startswith("bad-inventory")
 
 
+def test_lone_surrogate_rejected_on_the_wire(tmp_path):
+    server = make_server(tmp_path)
+    client = client_credential()
+    doc = {"target_label": "host", "pvcs": [{"kind": "app", "name": "Paint\ud800"}]}
+    replies = wire_exchange(server, [scan_request_frame(client, sn=1, doc=doc)])
+    opened = open_reply(replies[0])
+    assert opened.msg_type is MsgType.SCAN_REJECT
+    assert opened.body["reason"].startswith("bad-inventory")
+    assert "surrogate" in opened.body["reason"]
+    assert not server._jobs
+
+
 def test_queue_full_rejected_as_busy(tmp_path):
     server = make_server(tmp_path, queue_capacity=1)
     server.enqueue_job(empty_inventory(), "vsc-1")
@@ -880,11 +892,17 @@ def test_server_update_builds_the_new_snapshot_once(tmp_path, caplog):
     assert "CVE-2019-0002" in snapshot.records
 
 
-def test_serving_heap_is_frozen_until_the_workers_stop(tmp_path):
+def test_serving_heap_is_frozen_until_the_workers_stop(tmp_path, caplog):
     server = make_server(tmp_path, worker_count=1)
-    server.start_workers()
+    with caplog.at_level("INFO", logger="invscan.db"):
+        server.start_workers()
     try:
         assert gc.get_freeze_count() > 0
+        # the startup snapshot is built before the freeze, not by the first scan
+        built = [m for m in caplog.messages if m.startswith("snapshot of generation")]
+        assert [m.split(" built")[0] for m in built] == ["snapshot of generation 1"]
+        snapshot = server.database.snapshot()
+        assert not any(obj is snapshot.records for obj in gc.get_objects())
     finally:
         server.stop_workers()
     assert gc.get_freeze_count() == 0
