@@ -50,11 +50,7 @@ class CpeName:
     language: str | None = None
 
     def __post_init__(self) -> None:
-        if self.part not in PARTS:
-            raise CpeError(f"invalid part {self.part!r}: must be one of {PARTS}")
-        for field, value in zip(_COMPONENT_FIELDS, self.components()):
-            if value is not None and _UNNORMALIZED_RE.search(value):
-                raise CpeError(f"component {field}={value!r} not normalized")
+        check_cpe_fields(self.part, *self.components())
 
     def components(self) -> tuple[str | None, ...]:
         return (self.vendor, self.product, self.version,
@@ -64,15 +60,37 @@ class CpeName:
 _COMPONENT_FIELDS = ("vendor", "product", "version", "update", "edition", "language")
 
 
-def parse_cpe_uri(text: str) -> CpeName:
-    """Parse a CPE 2.2 URI string into a CpeName.
+def check_cpe_fields(part: str, *components: str | None) -> None:
+    """Raise CpeError unless part is a CPE part and each component
+    (vendor first, as many as given) is unspecified or normalized."""
+    if part not in PARTS:
+        raise CpeError(f"invalid part {part!r}: must be one of {PARTS}")
+    for field, value in zip(_COMPONENT_FIELDS, components):
+        if value is not None and _UNNORMALIZED_RE.search(value):
+            raise CpeError(f"component {field}={value!r} not normalized")
 
-    Trailing components may be omitted; empty components are unspecified.
+
+def normalize_all(values: list[str | None], text: str) -> list[str | None]:
+    """normalize_component of each value, where every value is a piece of
+    text holding no ':'. Lower-case text free of whitespace holds only
+    characters that normalization keeps, so each value is then its own
+    normal form (isprintable() is False for every whitespace character
+    but ' ')."""
+    if text.lower() == text and " " not in text and text.isprintable():
+        return [value or None for value in values]
+    return [normalize_component(value) for value in values]
+
+
+def split_cpe_uri(text: str) -> tuple[str | None, ...]:
+    """The part and six normalized component values of a CPE 2.2 URI,
+    the components unspecified (None) where empty or omitted.
+
     Raises CpeError naming the offending segment on malformed input.
     """
     if not text.startswith("cpe:/"):
         raise CpeError(f"not a CPE 2.2 URI (expected 'cpe:/' prefix): {text!r}")
-    segments = text[len("cpe:/"):].split(":")
+    body = text[len("cpe:/"):]
+    segments = body.split(":")
     part = segments[0].strip().lower()
     if part not in PARTS:
         raise CpeError(f"invalid part segment {segments[0]!r} in {text!r}")
@@ -81,23 +99,27 @@ def parse_cpe_uri(text: str) -> CpeName:
             f"too many components ({len(segments) - 1} > 6), "
             f"starting at segment {segments[7]!r} in {text!r}"
         )
-    values: dict[str, str | None] = {}
-    for field, raw in zip(_COMPONENT_FIELDS, segments[1:]):
-        values[field] = normalize_component(raw)
-    return CpeName(part=part, **values)
+    return (part, *normalize_all(segments[1:], body), *(None,) * (7 - len(segments)))
+
+
+def parse_cpe_uri(text: str) -> CpeName:
+    """Parse a CPE 2.2 URI string into a CpeName (see split_cpe_uri)."""
+    return CpeName(*split_cpe_uri(text))
+
+
+def format_cpe_fields(fields) -> str:
+    """The shortest CPE 2.2 URI of (part, vendor, ..., language).
+
+    Trailing unspecified components are truncated; interior ones are kept
+    as empty segments so split(format(f)) == f. No set value holds ':',
+    and an empty one formats as unspecified.
+    """
+    return ("cpe:/" + ":".join([value or "" for value in fields])).rstrip(":")
 
 
 def format_cpe_uri(name: CpeName) -> str:
-    """Format a CpeName as its shortest CPE 2.2 URI.
-
-    Trailing unspecified components are truncated; interior ones are kept
-    as empty segments so parse(format(n)) == n.
-    """
-    components = list(name.components())
-    while components and components[-1] is None:
-        components.pop()
-    tail = "".join(":" + (c if c is not None else "") for c in components)
-    return f"cpe:/{name.part}{tail}"
+    """Format a CpeName as its shortest CPE 2.2 URI."""
+    return format_cpe_fields((name.part, *name.components()))
 
 
 def cpe_matches(generated: CpeName, applicability: CpeName) -> bool:

@@ -24,6 +24,8 @@ touches the file.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import itertools
 import json
 import logging
@@ -33,8 +35,9 @@ import threading
 import time
 from dataclasses import dataclass, field, replace
 
-from .cpe import CpeError, CpeName, format_cpe_uri, normalize_component, parse_cpe_uri
-from .generation import ComponentCandidates, GenerationIndex, build_index_from_names
+from .cpe import (PARTS, CpeError, CpeName, check_cpe_fields, format_cpe_fields,
+                  normalize_all, normalize_component, parse_cpe_uri, split_cpe_uri)
+from .generation import ComponentCandidates, GenerationIndex, build_index_from_fields
 
 log = logging.getLogger(__name__)
 
@@ -115,15 +118,17 @@ class DbSnapshot:
     the brute-force all-pairs scan over the candidates' expansion.
 
     cache maps a component fingerprint to the ids scanned on this
-    snapshot, oldest first; only VulnDatabase reads and writes it.
+    snapshot, oldest first; only VulnDatabase reads and writes it. The ids
+    are kept as tuples of str, which the collector stops tracking, so a
+    full collection does not walk the cache.
     """
 
     generation: int
     records: dict[str, CveRecord]
     match_index: dict[tuple[str, str], tuple[tuple[str, CpeName], ...]]
     gen_index: GenerationIndex
-    cache: dict[bytes, frozenset[str]] = field(default_factory=dict, repr=False,
-                                               compare=False)
+    cache: dict[bytes, tuple[str, ...]] = field(default_factory=dict, repr=False,
+                                                compare=False)
 
     def match_cpes_to_cves(self, candidates: ComponentCandidates) -> set[str]:
         """Ids of every record with an applicability name matching a name
@@ -147,6 +152,23 @@ class DbSnapshot:
         return found
 
 
+@contextlib.contextmanager
+def collector_paused():
+    """Keep the cyclic collector off for the block, then restore the state
+    it had before, so a caller that disabled it keeps it disabled.
+
+    For bulk phases whose many allocations form no cycles and are freed
+    by reference counting: a collection there would only walk them.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _walk_nodes(nodes):
     for node in nodes:
         if not isinstance(node, dict):
@@ -157,46 +179,37 @@ def _walk_nodes(nodes):
         yield from _walk_nodes(node.get("children", []))
 
 
-def cpe23_to_22(uri: str) -> CpeName:
-    """Downconvert a CPE 2.3 formatted string to a 2.2 name.
+def cpe23_to_22(uri: str) -> tuple[str | None, ...]:
+    """Downconvert a CPE 2.3 formatted string to the fields of a 2.2 name.
 
     Splits on unescaped colons; '*' (ANY) maps to unspecified, other
     values keep their normalized form. Only the first seven logical
     components survive, which is all the 2.2 form can carry.
     """
-    raw = re.split(r"(?<!\\):", uri)
+    escaped = "\\" in uri
+    raw = re.split(r"(?<!\\):", uri) if escaped else uri.split(":")
     if len(raw) < 5 or raw[0] != "cpe" or raw[1] != "2.3":
         raise CpeError(f"not a CPE 2.3 formatted string: {uri!r}")
-    fields_23 = raw[2:9]
-    values = []
-    for value in fields_23:
-        value = value.replace("\\", "")
-        values.append(None if value in ("*", "") else value)
+    fields_23 = [value.replace("\\", "") for value in raw[2:9]] if escaped else raw[2:9]
+    values = [None if value in ("*", "") else value for value in fields_23]
     part = values[0]
-    if part not in ("a", "o", "h"):
+    if part not in PARTS:
         raise CpeError(f"unsupported part {part!r} in {uri!r}")
-    padded = values[1:] + [None] * (6 - len(values[1:]))
-    return CpeName(
-        part=part,
-        vendor=normalize_component(padded[0]),
-        product=normalize_component(padded[1]),
-        version=normalize_component(padded[2]),
-        update=normalize_component(padded[3]),
-        edition=normalize_component(padded[4]),
-        language=normalize_component(padded[5]),
-    )
+    # An escaped value may hold ':', which normalization removes.
+    components = (list(map(normalize_component, values[1:])) if escaped
+                  else normalize_all(values[1:], uri))
+    return (part, *components, *(None,) * (7 - len(values)))
 
 
-def parse_applicability_uri(uri: str) -> CpeName | None:
-    """Parse the URI of one cpe_match entry from a feed, CPE 2.2 or 2.3;
-    None when unusable."""
+def canonical_applicability_uri(uri: str) -> str | None:
+    """The canonical CPE 2.2 URI of one cpe_match entry's URI from a
+    feed, CPE 2.2 or 2.3; None when unusable."""
     try:
-        if uri.startswith("cpe:/"):
-            return parse_cpe_uri(uri)
-        return cpe23_to_22(uri)
+        fields = split_cpe_uri(uri) if uri.startswith("cpe:/") else cpe23_to_22(uri)
     except CpeError as exc:
         log.warning("skipping unparseable applicability URI %r: %s", uri, exc)
         return None
+    return format_cpe_fields(fields)
 
 
 def _extract_cvss(impact: dict) -> list[tuple[str, float]]:
@@ -246,17 +259,17 @@ class VulnDatabase:
                 rows = []
                 for (uri,) in self._conn.execute("SELECT uri FROM cpe_dict").fetchall():
                     try:
-                        name = parse_cpe_uri(uri)
+                        part, vendor, product, *_ = split_cpe_uri(uri)
                     except CpeError:
                         continue
-                    rows.append((name.part, name.vendor, name.product, uri))
+                    rows.append((part, vendor, product, uri))
                 self._conn.executemany(
                     "UPDATE cpe_dict SET part = ?, vendor = ?, product = ? WHERE uri = ?", rows)
             self._conn.execute(
                 "INSERT OR IGNORE INTO meta (key, value) VALUES ('generation', '0')"
             )
         self._snapshot = DbSnapshot(generation=-1, records={}, match_index={},
-                                    gen_index=build_index_from_names(()))
+                                    gen_index=build_index_from_fields(()))
 
     def close(self) -> None:
         with self._lock:
@@ -283,6 +296,7 @@ class VulnDatabase:
             (key, str(value)),
         )
 
+    @collector_paused()
     def _build_snapshot(self, previous: DbSnapshot) -> DbSnapshot:
         """The snapshot of the file's current generation, built from the
         previous one.
@@ -295,7 +309,7 @@ class VulnDatabase:
         record are rebuilt. The generation index is reused unless a
         dictionary was ingested after previous.generation. The reads
         share one transaction, so the snapshot shows exactly one
-        generation.
+        generation. Runs with the cyclic collector paused.
         """
         started = time.perf_counter()
         since = previous.generation
@@ -345,14 +359,15 @@ class VulnDatabase:
                                           exploit_available=cve_id in exploited)
             dictionary_changed = self._read_meta("dictionary_generation") > since
             if dictionary_changed:
-                dict_names = []
-                for part, vendor, product in self._conn.execute(
-                        "SELECT part, vendor, product FROM cpe_dict"):
+                dict_fields = []
+                for row in self._conn.execute("SELECT part, vendor, product FROM cpe_dict"):
                     try:
-                        dict_names.append(CpeName(part, vendor, product))
+                        check_cpe_fields(*row)
                     except CpeError as exc:
                         log.warning("dropping stored dictionary name: %s", exc)
-                gen_index = build_index_from_names(dict_names)
+                    else:
+                        dict_fields.append(row)
+                gen_index = build_index_from_fields(dict_fields)
         buckets: dict[tuple[str, str], list[tuple[str, CpeName]]] = {
             key: [pair for pair in previous.match_index.get(key, ()) if pair[0] not in reread]
             for key in touched
@@ -383,7 +398,7 @@ class VulnDatabase:
         """Write one feed's CVE rows, tagged with the generation, and their
         applicability; returns the number of CVE rows written. A CVE id
         that repeats within the feed keeps its last item. Each distinct
-        applicability URI is parsed once."""
+        applicability URI is canonicalized once."""
         with open(path, "r", encoding="utf-8") as fh:
             feed = json.load(fh)
         stored: dict[str, str | None] = {}
@@ -404,8 +419,7 @@ class VulnDatabase:
                 if not uri or entry.get("vulnerable") is False:
                     continue
                 if uri not in stored:
-                    name = parse_applicability_uri(uri)
-                    stored[uri] = None if name is None else format_cpe_uri(name)
+                    stored[uri] = canonical_applicability_uri(uri)
                 if stored[uri] is not None:
                     uris.add(stored[uri])
             rows[str(cve_id)] = (json.dumps(sorted(scores)), uris)
@@ -432,11 +446,11 @@ class VulnDatabase:
                 if not line or line.startswith("#"):
                     continue
                 try:
-                    name = parse_cpe_uri(line)
+                    fields = split_cpe_uri(line)
                 except CpeError as exc:
                     log.warning("%s:%d skipping malformed URI: %s", path, lineno, exc)
                     continue
-                rows.append((format_cpe_uri(name), name.part, name.vendor, name.product))
+                rows.append((format_cpe_fields(fields), *fields[:3]))
         return self._conn.executemany(
             "INSERT OR IGNORE INTO cpe_dict (uri, part, vendor, product) VALUES (?,?,?,?)",
             rows,
@@ -461,6 +475,7 @@ class VulnDatabase:
             "INSERT OR IGNORE INTO exploit_link (exploit_id, cve_id) VALUES (?,?)", links,
         ).rowcount
 
+    @collector_paused()
     def update_sources(self, feed_paths=(), dictionary_paths=(), exploit_paths=()) -> int:
         """Ingest all sources and bump the generation, in one
         transaction; the only way the data changes.
@@ -471,8 +486,8 @@ class VulnDatabase:
         Any failure rolls the whole update back: the previous generation
         and data are untouched. No snapshot is built: the next
         snapshot() call builds the new generation's, with an empty cache.
-        Logs one INFO line with the counts written. Returns the new
-        generation.
+        Logs one INFO line with the counts written. Runs with the cyclic
+        collector paused. Returns the new generation.
         """
         with self._lock:
             started = time.perf_counter()
@@ -504,7 +519,8 @@ class VulnDatabase:
         snapshot = self._snapshot
         if snapshot.generation != generation:
             return None
-        return snapshot.cache.get(fingerprint)
+        ids = snapshot.cache.get(fingerprint)
+        return None if ids is None else frozenset(ids)
 
     def cache_store(self, generation: int,
                     misses: list[tuple[bytes, frozenset[str]]]) -> None:
@@ -521,7 +537,7 @@ class VulnDatabase:
             return
         cache = snapshot.cache
         with self._cache_lock:
-            cache.update(misses)
+            cache.update((fingerprint, tuple(ids)) for fingerprint, ids in misses)
             excess = len(cache) - CACHE_MAX_ENTRIES
             if excess > 0:
                 for fingerprint in list(itertools.islice(cache, excess)):

@@ -52,21 +52,21 @@ class GenerationIndex:
 
 
 
-def build_index_from_names(names) -> GenerationIndex:
-    """Derive a GenerationIndex from an iterable of dictionary CpeNames."""
+def build_index_from_fields(rows) -> GenerationIndex:
+    """Derive a GenerationIndex from an iterable of the (part, vendor,
+    product) fields of dictionary names."""
     vendors: set[str] = set()
     products: set[str] = set()
     os_p2v: dict[str, set[str]] = {}
     android: set[str] = set()
     apple_os: set[str] = set()
-    for name in names:
-        vendor, product = name.vendor, name.product
+    for part, vendor, product in rows:
         if vendor:
             vendors.add(vendor)
         if product:
             products.add(product)
         if vendor and product:
-            if name.part == "o":
+            if part == "o":
                 os_p2v.setdefault(product, set()).add(vendor)
                 if vendor == "apple":
                     apple_os.add(product)

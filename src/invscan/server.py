@@ -31,7 +31,7 @@ import threading
 import time
 from dataclasses import dataclass
 
-from .db import VulnDatabase
+from .db import VulnDatabase, collector_paused
 from .engine import ScanJob, execute_job, report_to_dict
 from .inventory import Inventory, InventoryError, inventory_from_dict
 from .protocol import (ClientCredential, FrameError, ImpersonationError,
@@ -230,10 +230,13 @@ class VulnServer:
         the collector's sight: full collections then skip that
         immutable, acyclic heap instead of walking it on whichever scan
         or update they land. Objects it drops are still freed by
-        reference counting."""
-        self.database.snapshot()
+        reference counting. The collection runs before the build, and
+        the collector stays paused until the freeze, so no collection
+        walks the new heap on its way in."""
         gc.collect()
-        gc.freeze()
+        with collector_paused():
+            self.database.snapshot()
+            gc.freeze()
         for n in range(self.config.worker_count):
             worker = threading.Thread(target=self._worker_loop,
                                       name=f"scan-worker-{n}", daemon=True)

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import json
 import random
+import re
+import sys
 
 import pytest
+from hypothesis import strategies as st
 
-from invscan.cpe import cpe_matches, parse_cpe_uri
+from invscan.cpe import PARTS, CpeError, CpeName, cpe_matches, normalize_component, parse_cpe_uri
 from invscan.db import VulnDatabase
 from invscan.generation import ComponentCandidates
 from invscan.protocol import ClientCredential
@@ -31,6 +34,63 @@ def brute_force_match(records, queries) -> set:
         if hit:
             found.add(record.id)
     return found
+
+
+def seed_parse_cpe_uri(text: str) -> CpeName:
+    """parse_cpe_uri as it was before the string path (every segment
+    normalized, a CpeName built), kept as the string path's oracle."""
+    if not text.startswith("cpe:/"):
+        raise CpeError(f"not a CPE 2.2 URI (expected 'cpe:/' prefix): {text!r}")
+    segments = text[len("cpe:/"):].split(":")
+    part = segments[0].strip().lower()
+    if part not in PARTS:
+        raise CpeError(f"invalid part segment {segments[0]!r} in {text!r}")
+    if len(segments) > 7:
+        raise CpeError(
+            f"too many components ({len(segments) - 1} > 6), "
+            f"starting at segment {segments[7]!r} in {text!r}"
+        )
+    fields = ("vendor", "product", "version", "update", "edition", "language")
+    return CpeName(part=part, **{field: normalize_component(raw)
+                                 for field, raw in zip(fields, segments[1:])})
+
+
+def seed_cpe23_to_22(uri: str) -> CpeName:
+    """cpe23_to_22 as it was before the string path, its oracle."""
+    raw = re.split(r"(?<!\\):", uri)
+    if len(raw) < 5 or raw[0] != "cpe" or raw[1] != "2.3":
+        raise CpeError(f"not a CPE 2.3 formatted string: {uri!r}")
+    values = []
+    for value in raw[2:9]:
+        value = value.replace("\\", "")
+        values.append(None if value in ("*", "") else value)
+    part = values[0]
+    if part not in ("a", "o", "h"):
+        raise CpeError(f"unsupported part {part!r} in {uri!r}")
+    padded = values[1:] + [None] * (6 - len(values[1:]))
+    return CpeName(part, *map(normalize_component, padded))
+
+
+def seed_format_cpe_uri(name: CpeName) -> str:
+    """format_cpe_uri as it was before the shared formatter, its oracle."""
+    components = list(name.components())
+    while components and components[-1] is None:
+        components.pop()
+    return f"cpe:/{name.part}" + "".join(":" + (c if c is not None else "") for c in components)
+
+
+# Every character str.isspace() holds.
+SPACES = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
+
+# CPE URI segments: already their own normal form; upper case (İ lowers
+# to two characters, Σ by its context) with '\\', '*' and runs of ':' (so
+# more, and empty, segments); whitespace of every kind.
+cpe_segment = st.one_of(
+    st.text(st.sampled_from("az09._-~"), max_size=4),
+    st.text(st.sampled_from("aZ0.*\\::İΣ"), max_size=4),
+    st.text(st.sampled_from("a0" + SPACES), max_size=4),
+    st.sampled_from(["*", "", "-", "x\\:y", "\\*", "\\"]),
+)
 
 
 def one_name(uri: str) -> ComponentCandidates:

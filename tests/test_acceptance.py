@@ -17,13 +17,13 @@ import pytest
 
 from invscan.client import (EXIT_OK, ClientConfig, TransportError,
                             poll_result, run_scan)
-from invscan.cpe import CpeName, format_cpe_uri, parse_cpe_uri
+from invscan.cpe import CpeName, format_cpe_uri, parse_cpe_uri, split_cpe_uri
 from invscan.db import VulnDatabase
 from invscan.engine import ScanJob, compute_accuracy, execute_job, report_to_dict
 from invscan.generation import (ComponentCandidates, GenerationIndex, abbreviate_name,
                                 app_product_candidates,
                                 app_version_candidates,
-                                build_index_from_names,
+                                build_index_from_fields,
                                 extract_versions_from_text, generate_cpes,
                                 os_product_candidates, os_update_candidates,
                                 os_vendor_candidates, os_version_candidates,
@@ -84,7 +84,7 @@ def _app(name, **kw) -> Pvc:
 
 
 def _index(*uris) -> GenerationIndex:
-    return build_index_from_names([parse_cpe_uri(u) for u in uris])
+    return build_index_from_fields([split_cpe_uri(u)[:3] for u in uris])
 
 
 def _catalog_pvc(index: int) -> Pvc:

@@ -2,13 +2,13 @@
 
 import random
 import re
-import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
-from invscan.cpe import (CpeError, CpeName, cpe_matches, format_cpe_uri,
-                         normalize_component, parse_cpe_uri)
+from invscan.cpe import (PARTS, CpeError, CpeName, cpe_matches, format_cpe_fields,
+                         format_cpe_uri, normalize_component, parse_cpe_uri, split_cpe_uri)
+from conftest import SPACES, cpe_segment, seed_format_cpe_uri, seed_parse_cpe_uri
 
 # token alphabet kept small so random pairs actually collide
 TOKENS = ["alpha", "beta", "gamma", "1.0", "2.0", "x64", "en", None]
@@ -99,13 +99,31 @@ def _regex_normalize(value):
     return value or None
 
 
-# Every character str.isspace() holds, which both forms split on.
-_SPACES = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
-
-
-@given(st.text(st.one_of(st.characters(), st.sampled_from(_SPACES + ":İẞ"))))
+@given(st.text(st.one_of(st.characters(), st.sampled_from(SPACES + ":İẞ"))))
 def test_normalize_matches_the_regex_form(raw):
     assert normalize_component(raw) == _regex_normalize(raw)
+
+
+_PART = st.sampled_from(PARTS * 3 + ("A", " o\t", "x", "", "*", "İ"))
+_CPE22 = st.builds(lambda part, rest: "cpe:/" + ":".join([part, *rest]),
+                   _PART, st.lists(cpe_segment, max_size=7))
+cpe22_text = st.one_of(_CPE22, _CPE22, _CPE22, st.text(st.sampled_from("cpe:/aZ *"), max_size=8))
+
+
+def _outcome(function, *args):
+    try:
+        return function(*args)
+    except CpeError as exc:
+        return ("CpeError", str(exc))
+
+
+@given(cpe22_text)
+def test_string_path_equals_parse_then_format(text):
+    """A dictionary line's canonical URI and fields, straight from the
+    text, equal the seed's parse-then-format, and fail alike."""
+    expected = _outcome(lambda t: seed_format_cpe_uri(seed_parse_cpe_uri(t)), text)
+    assert _outcome(lambda t: format_cpe_fields(split_cpe_uri(t)), text) == expected
+    assert _outcome(parse_cpe_uri, text) == _outcome(seed_parse_cpe_uri, text)
 
 
 def test_name_rejects_unnormalized_components():

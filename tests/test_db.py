@@ -1,20 +1,23 @@
 """Feed ingestion, persistence, matching, and the generation-scoped cache."""
 
+import gc
 import sqlite3
 import sys
 import tempfile
 import threading
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from invscan import db
-from invscan.cpe import CpeName, format_cpe_uri, parse_cpe_uri
-from invscan.db import CveRecord, DbError, VulnDatabase, cpe23_to_22
+from invscan.cpe import CpeError, CpeName, format_cpe_uri, parse_cpe_uri, split_cpe_uri
+from invscan.db import CveRecord, DbError, VulnDatabase, canonical_applicability_uri, cpe23_to_22
 from invscan.generation import ComponentCandidates, GenerationIndex, cartesian_expand
 from invscan.server import run_update
-from conftest import (brute_force_match, feed_item, make_database, one_name,
+from conftest import (brute_force_match, cpe_segment, feed_item, make_database, one_name,
+                      seed_cpe23_to_22, seed_format_cpe_uri, seed_parse_cpe_uri,
                       write_dictionary, write_exploit_map, write_feed)
 
 
@@ -96,9 +99,38 @@ def test_ingest_walks_nested_nodes(tmp_path):
 
 
 def test_cpe23_downconversion():
-    name = cpe23_to_22("cpe:2.3:o:microsoft:windows_xp:5.1.2600:sp3:*:*:*:*:*:*")
-    assert name == parse_cpe_uri("cpe:/o:microsoft:windows_xp:5.1.2600:sp3")
-    assert cpe23_to_22("cpe:2.3:a:adobe:reader:*:*:*:*:*:*:*:*") == parse_cpe_uri("cpe:/a:adobe:reader")
+    fields = cpe23_to_22("cpe:2.3:o:microsoft:windows_xp:5.1.2600:sp3:*:*:*:*:*:*")
+    assert fields == split_cpe_uri("cpe:/o:microsoft:windows_xp:5.1.2600:sp3")
+    assert cpe23_to_22("cpe:2.3:a:adobe:reader:*:*:*:*:*:*:*:*") == split_cpe_uri("cpe:/a:adobe:reader")
+
+
+_PREFIX = st.sampled_from(["cpe:2.3:"] * 4 + ["cpe:/", "cpe:2.2:", "CPE:2.3:", "cpe:2.3\\:"])
+_PART = st.sampled_from(("a", "o", "h") * 3 + ("A", "x", "", "*", " o"))
+feed_uri = st.builds(lambda prefix, part, rest: prefix + ":".join([part, *rest]),
+                     _PREFIX, _PART, st.lists(cpe_segment, max_size=12))
+
+
+@given(feed_uri)
+@example("cpe:2.3:a:acme:x\\:y")  # an escaped ':' inside a value
+def test_feed_uri_string_path_equals_parse_then_format(uri):
+    """A feed URI's canonical form, straight from the text, equals the
+    seed's parse-then-format; where that failed, it is None with the
+    warning, and the 2.3 down-conversion fails with the same error."""
+    try:
+        expected = seed_format_cpe_uri(seed_parse_cpe_uri(uri) if uri.startswith("cpe:/")
+                                       else seed_cpe23_to_22(uri))
+    except CpeError:
+        expected = None
+    with mock.patch.object(db.log, "warning") as warning:
+        assert canonical_applicability_uri(uri) == expected
+    assert warning.called == (expected is None)
+    if not uri.startswith("cpe:/"):
+        def outcome(convert):
+            try:
+                return convert(uri)
+            except CpeError as exc:
+                return str(exc)
+        assert outcome(lambda u: CpeName(*cpe23_to_22(u))) == outcome(seed_cpe23_to_22)
 
 
 def test_cve_record_rejects_malformed_id():
@@ -372,7 +404,22 @@ def test_concurrent_stores_keep_the_cap_and_every_entry_whole(tmp_path, monkeypa
     assert errors == []
     cache = database.snapshot().cache
     assert len(cache) == 50
-    assert all(ids == {fingerprint} for fingerprint, ids in cache.items())
+    assert all(database.cache_lookup(fingerprint, generation) == {fingerprint}
+               for fingerprint in cache)
+
+
+def test_cached_ids_are_not_tracked_by_the_collector(tmp_path):
+    database = make_database(tmp_path, [feed_item("CVE-2020-0001")])
+    generation = database.snapshot().generation
+    database.cache_store(generation, [(bytes([n]) * 32, frozenset({"CVE-2020-0001",
+                                                                  f"CVE-2020-{n + 2:04d}"}))
+                                      for n in range(10)] + [(b"\xff" * 32, frozenset())])
+    gc.collect()
+    cache = database.snapshot().cache
+    assert len(cache) == 11
+    assert not any(map(gc.is_tracked, cache.values()))
+    assert database.cache_lookup(bytes([3]) * 32, generation) == {"CVE-2020-0001",
+                                                                   "CVE-2020-0005"}
 
 
 def test_update_through_another_connection_is_seen(tmp_path):
@@ -439,6 +486,67 @@ def test_update_failure_rolls_back(tmp_path):
     assert "CVE-2020-0002" not in database.snapshot().records
     # the generation did not move, so what was learned on it still answers
     assert database.cache_lookup(_FINGERPRINT, 1) == _IDS_CACHED
+
+
+# -- the cyclic collector during bulk phases ----------------------------------------
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """Set the collector on or off for the test; restore it after."""
+    was_enabled = gc.isenabled()
+    gc.enable() if request.param else gc.disable()
+    try:
+        yield request.param
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+
+
+def _collector_state_at(monkeypatch, name):
+    """Record gc.isenabled() at each call of db.<name>."""
+    seen = []
+    original = getattr(db, name)
+
+    def spy(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(db, name, spy)
+    return seen
+
+
+def test_update_pauses_the_collector_then_restores_it(tmp_path, monkeypatch, collector):
+    seen = _collector_state_at(monkeypatch, "_extract_cvss")
+    database = make_database(tmp_path, [feed_item("CVE-2020-0001")])
+    assert seen == [False]
+    assert gc.isenabled() is collector
+    # a feed that makes the update roll back
+    feed = write_feed(tmp_path / "f2.json", [feed_item("CVE-2020-0002")])
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json", encoding="utf-8")
+    with pytest.raises(ValueError):
+        database.update_sources([feed, str(bad)])
+    assert seen == [False, False]
+    assert gc.isenabled() is collector
+    assert database.record_count() == 1
+
+
+def test_snapshot_build_pauses_the_collector_then_restores_it(tmp_path, monkeypatch,
+                                                               collector):
+    database = make_database(tmp_path, [feed_item("CVE-2020-0001")],
+                             dictionary=["cpe:/a:acme:paint"])
+    seen = _collector_state_at(monkeypatch, "build_index_from_fields")
+    assert "CVE-2020-0001" in database.snapshot().records
+    assert seen == [False]
+    assert gc.isenabled() is collector
+    # a build that raises: generation 2 wrote a score that is not JSON
+    conn = sqlite3.connect(str(tmp_path / "db.sqlite"))
+    with conn:
+        conn.execute("UPDATE cve SET cvss = 'not json', changed_generation = 2")
+        conn.execute("UPDATE meta SET value = '2' WHERE key = 'generation'")
+    conn.close()
+    with pytest.raises(ValueError):
+        database.snapshot()
+    assert gc.isenabled() is collector
 
 
 # -- schema upgrade and incremental snapshots ---------------------------------------
@@ -571,12 +679,15 @@ def test_open_drops_a_stored_dictionary_name_that_is_not_normalized(tmp_path, ca
     with conn:
         conn.execute("INSERT INTO cpe_dict VALUES ('cpe:/a:big_corp:tool', 'a', 'big corp', "
                      "'tool')")
+        conn.execute("INSERT INTO cpe_dict VALUES ('cpe:/x:zeta:pen', 'x', 'zeta', 'pen')")
     conn.close()
     with caplog.at_level("WARNING"):
         index = VulnDatabase(str(tmp_path / "db.sqlite")).snapshot().gen_index
     assert index.known_vendors == {"acme"}
     assert index.known_products == {"paint"}
     assert any("dropping stored dictionary name" in m and "not normalized" in m
+               for m in caplog.messages)
+    assert any("dropping stored dictionary name" in m and "invalid part 'x'" in m
                for m in caplog.messages)
 
 

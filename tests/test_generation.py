@@ -3,11 +3,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from invscan.cpe import CpeName, format_cpe_uri, parse_cpe_uri
+from invscan.cpe import CpeName, format_cpe_uri, parse_cpe_uri, split_cpe_uri
 from invscan.generation import (ComponentCandidates, GenerationIndex,
                                 abbreviate_name, app_product_candidates,
                                 app_vendor_candidates, app_version_candidates,
-                                build_index_from_names, cartesian_expand,
+                                build_index_from_fields, cartesian_expand,
                                 extract_versions_from_text, generate_cpes,
                                 is_version_token, os_product_candidates,
                                 os_update_candidates, os_vendor_candidates,
@@ -16,7 +16,7 @@ from invscan.inventory import InventoryError, Pvc, PvcKind, pvc_from_dict
 
 
 def _index(*uris) -> GenerationIndex:
-    return build_index_from_names([parse_cpe_uri(u) for u in uris])
+    return build_index_from_fields([split_cpe_uri(u)[:3] for u in uris])
 
 
 def os_pvc(name, **kw) -> Pvc:

@@ -894,10 +894,29 @@ def test_server_update_builds_the_new_snapshot_once(tmp_path, caplog):
 
 def test_serving_heap_is_frozen_until_the_workers_stop(tmp_path, caplog):
     server = make_server(tmp_path, worker_count=1)
-    with caplog.at_level("INFO", logger="invscan.db"):
-        server.start_workers()
+    # (snapshot built yet, objects frozen) at the start of each collection
+    collections = []
+
+    def watch(phase, info):
+        if phase == "start":
+            collections.append((any(m.startswith("snapshot of") for m in caplog.messages),
+                                gc.get_freeze_count()))
+
+    thresholds = gc.get_threshold()
+    gc.callbacks.append(watch)
+    gc.set_threshold(1)  # any allocation the collector may see starts a collection
+    try:
+        with caplog.at_level("INFO", logger="invscan.db"):
+            server.start_workers()
+    finally:
+        gc.set_threshold(*thresholds)
+        gc.callbacks.remove(watch)
     try:
         assert gc.get_freeze_count() > 0
+        assert gc.isenabled()
+        # one collection before the build; none walks the new heap before the freeze
+        assert collections[0] == (False, 0)
+        assert all(not built or frozen for built, frozen in collections)
         # the startup snapshot is built before the freeze, not by the first scan
         built = [m for m in caplog.messages if m.startswith("snapshot of generation")]
         assert [m.split(" built")[0] for m in built] == ["snapshot of generation 1"]
