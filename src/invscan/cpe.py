@@ -1,4 +1,6 @@
-"""CPE 2.2 URI names: parsing, formatting, normalization, and matching.
+"""CPE 2.2 URI names: normalization, parsing to and formatting from the
+field tuple (part, vendor, ..., language) the store and matcher use, and
+the reference matching rule (cpe_matches over CpeName) they must equal.
 
 A name looks like ``cpe:/o:microsoft:windows_xp:5.1.2600:sp3``. The part
 letter ('o' = operating system, 'a' = application, 'h' = hardware) is
@@ -102,11 +104,6 @@ def split_cpe_uri(text: str) -> tuple[str | None, ...]:
     return (part, *normalize_all(segments[1:], body), *(None,) * (7 - len(segments)))
 
 
-def parse_cpe_uri(text: str) -> CpeName:
-    """Parse a CPE 2.2 URI string into a CpeName (see split_cpe_uri)."""
-    return CpeName(*split_cpe_uri(text))
-
-
 def format_cpe_fields(fields) -> str:
     """The shortest CPE 2.2 URI of (part, vendor, ..., language).
 
@@ -115,11 +112,6 @@ def format_cpe_fields(fields) -> str:
     and an empty one formats as unspecified.
     """
     return ("cpe:/" + ":".join([value or "" for value in fields])).rstrip(":")
-
-
-def format_cpe_uri(name: CpeName) -> str:
-    """Format a CpeName as its shortest CPE 2.2 URI."""
-    return format_cpe_fields((name.part, *name.components()))
 
 
 def cpe_matches(generated: CpeName, applicability: CpeName) -> bool:

@@ -35,8 +35,8 @@ import threading
 import time
 from dataclasses import dataclass, field, replace
 
-from .cpe import (PARTS, CpeError, CpeName, check_cpe_fields, format_cpe_fields,
-                  normalize_all, normalize_component, parse_cpe_uri, split_cpe_uri)
+from .cpe import (PARTS, CpeError, check_cpe_fields, format_cpe_fields,
+                  normalize_all, normalize_component, split_cpe_uri)
 from .generation import ComponentCandidates, GenerationIndex, build_index_from_fields
 
 log = logging.getLogger(__name__)
@@ -81,11 +81,11 @@ class DbError(Exception):
 
 @dataclass(frozen=True)
 class CveRecord:
-    """One vulnerability: identity, scores, applicable CPE names."""
+    """One vulnerability: identity, scores, applicable CPE field tuples."""
 
     id: str
     cvss_scores: frozenset[tuple[str, float]] = frozenset()
-    applicability: frozenset[CpeName] = frozenset()
+    applicability: frozenset[tuple[str | None, ...]] = frozenset()
     exploit_available: bool = False
 
     def __post_init__(self) -> None:
@@ -101,21 +101,21 @@ class CveRecord:
 _WILDCARD = ("*", "*")
 
 
-def _bucket_key(name: CpeName) -> tuple[str, str]:
-    if name.vendor is None or name.product is None:
-        return _WILDCARD
-    return (name.vendor, name.product)
+def _bucket_key(fields: tuple[str | None, ...]) -> tuple[str, str]:
+    key = fields[1:3]
+    return _WILDCARD if None in key else key
 
 
 @dataclass(frozen=True)
 class DbSnapshot:
     """Immutable view of one database generation, plus its scan cache.
 
-    match_index maps (vendor, product) to the applicability pairs that can
-    only match names carrying those exact values; pairs with an
-    unspecified vendor or product live in the wildcard bucket and are
-    checked against everything. Lookup through the index is equivalent to
-    the brute-force all-pairs scan over the candidates' expansion.
+    match_index maps (vendor, product) to the (CVE id, applicability
+    field tuple) pairs that can only match names carrying those exact
+    values; pairs with an unspecified vendor or product live in the
+    wildcard bucket and are checked against everything. Lookup through
+    the index is equivalent to the brute-force all-pairs scan over the
+    candidates' expansion.
 
     cache maps a component fingerprint to the ids scanned on this
     snapshot, oldest first; only VulnDatabase reads and writes it. The ids
@@ -125,7 +125,7 @@ class DbSnapshot:
 
     generation: int
     records: dict[str, CveRecord]
-    match_index: dict[tuple[str, str], tuple[tuple[str, CpeName], ...]]
+    match_index: dict[tuple[str, str], tuple[tuple[str, tuple[str | None, ...]], ...]]
     gen_index: GenerationIndex
     cache: dict[bytes, tuple[str, ...]] = field(default_factory=dict, repr=False,
                                                 compare=False)
@@ -133,21 +133,20 @@ class DbSnapshot:
     def match_cpes_to_cves(self, candidates: ComponentCandidates) -> set[str]:
         """Ids of every record with an applicability name matching a name
         of the candidates' expansion, found without expanding: as
-        cpe_matches compares field by field, a name matches when its part
-        is a candidate platform and each other field is unset on it, has
-        no candidate set, or is in its set."""
-        allowed = (candidates.vendors, candidates.products, candidates.versions,
-                   *candidates.optional_sets())
+        cpe_matches compares field by field, a stored field tuple matches
+        when its part is a candidate platform and each other field is
+        unset on it, has no candidate set, or is in its set."""
+        allowed = (candidates.platforms, candidates.vendors, candidates.products,
+                   candidates.versions, *candidates.optional_sets())
         # Candidate vendors and products are never unset: no other bucket can match.
         buckets = [self.match_index.get(_WILDCARD, ())]
         for pair in itertools.product(candidates.vendors, candidates.products):
             buckets.append(self.match_index.get(pair, ()))
         found: set[str] = set()
         for bucket in buckets:
-            for cve_id, name in bucket:
-                if (cve_id not in found and name.part in candidates.platforms
-                        and all(value is None or value in values
-                                for value, values in zip(name.components(), allowed))):
+            for cve_id, fields in bucket:
+                if cve_id not in found and all(value is None or value in values
+                                               for value, values in zip(fields, allowed)):
                     found.add(cve_id)
         return found
 
@@ -323,14 +322,14 @@ class VulnDatabase:
                     "SELECT DISTINCT e.cve_id FROM exploit_link e JOIN cve c ON c.id = e.cve_id"
                 )
             }
-            parsed: dict[str, CpeName | None] = {}
-            applicability: dict[str, set[CpeName]] = {}
+            parsed: dict[str, tuple[str | None, ...] | None] = {}
+            applicability: dict[str, set[tuple[str | None, ...]]] = {}
             for cve_id, uri in self._conn.execute(
                     "SELECT cve_id, uri FROM cve_cpe WHERE cve_id IN "
                     "(SELECT id FROM cve WHERE changed_generation > ?)", (since,)):
                 if uri not in parsed:
                     try:
-                        parsed[uri] = parse_cpe_uri(uri)
+                        parsed[uri] = split_cpe_uri(uri)
                     except CpeError:
                         log.warning("dropping stored unparseable URI %r", uri)
                         parsed[uri] = None
@@ -368,13 +367,13 @@ class VulnDatabase:
                     else:
                         dict_fields.append(row)
                 gen_index = build_index_from_fields(dict_fields)
-        buckets: dict[tuple[str, str], list[tuple[str, CpeName]]] = {
+        buckets: dict[tuple[str, str], list[tuple[str, tuple[str | None, ...]]]] = {
             key: [pair for pair in previous.match_index.get(key, ()) if pair[0] not in reread]
             for key in touched
         }
         for record in reread.values():
-            for name in record.applicability:
-                buckets[_bucket_key(name)].append((record.id, name))
+            for fields in record.applicability:
+                buckets[_bucket_key(fields)].append((record.id, fields))
         match_index = dict(previous.match_index)
         for key, pairs in buckets.items():
             if pairs:

@@ -78,8 +78,6 @@ def _scan(pvc: Pvc, database: VulnDatabase, snapshot: DbSnapshot
     A cached result counts only when it was stored under the snapshot's
     own generation.
     """
-    if snapshot.generation < 1:
-        raise EngineError("database has no completed update; run an update first")
     fingerprint = fingerprint_pvc(pvc)
     cached = database.cache_lookup(fingerprint, snapshot.generation)
     if cached is not None:
@@ -89,6 +87,14 @@ def _scan(pvc: Pvc, database: VulnDatabase, snapshot: DbSnapshot
     return PvcScanResult(pvc=pvc, cve_ids=cve_ids, cache_hit=False), (fingerprint, cve_ids)
 
 
+def _pin_snapshot(database: VulnDatabase) -> DbSnapshot:
+    """The current snapshot; raises EngineError when no update has completed."""
+    snapshot = database.snapshot()
+    if snapshot.generation < 1:
+        raise EngineError("database has no completed update; run an update first")
+    return snapshot
+
+
 def scan_pvc(pvc: Pvc, database: VulnDatabase) -> PvcScanResult:
     """Scan one component against the current database snapshot.
 
@@ -96,7 +102,7 @@ def scan_pvc(pvc: Pvc, database: VulnDatabase) -> PvcScanResult:
     misses do the full generate/match pass and store the outcome under
     the snapshot's generation.
     """
-    snapshot = database.snapshot()
+    snapshot = _pin_snapshot(database)
     result, miss = _scan(pvc, database, snapshot)
     if miss is not None:
         database.cache_store(snapshot.generation, [miss])
@@ -123,8 +129,9 @@ def _summarize(results, snapshot: DbSnapshot) -> tuple[int, float | None, int]:
 
 def execute_job(job: ScanJob, database: VulnDatabase) -> ScanReport:
     """Scan every component of the job's inventory, in order, against one
-    pinned snapshot; then hand the job's misses to the cache in one batch."""
-    snapshot = database.snapshot()
+    pinned snapshot; then hand the job's misses to the cache in one batch.
+    Raises EngineError, scanning nothing, when no update has completed."""
+    snapshot = _pin_snapshot(database)
     results: list[PvcScanResult] = []
     misses: list[tuple[bytes, frozenset[str]]] = []
     for position, pvc in enumerate(job.inventory.pvcs):

@@ -10,7 +10,7 @@ import sys
 import pytest
 from hypothesis import strategies as st
 
-from invscan.cpe import PARTS, CpeError, CpeName, cpe_matches, normalize_component, parse_cpe_uri
+from invscan.cpe import PARTS, CpeError, CpeName, cpe_matches, normalize_component, split_cpe_uri
 from invscan.db import VulnDatabase
 from invscan.generation import ComponentCandidates
 from invscan.protocol import ClientCredential
@@ -19,14 +19,16 @@ from invscan.protocol import ClientCredential
 def brute_force_match(records, queries) -> set:
     """All-pairs matching, the defining semantics. queries is any
     iterable of names, read once (ComponentCandidates expands on each
-    iteration)."""
+    iteration). Each stored field tuple it reaches becomes a CpeName,
+    whose check confirms that the tuple is normalized."""
     queries = list(queries)
     found = set()
     for record in records.values():
         hit = False
         for applicability in record.applicability:
+            name = CpeName(*applicability)
             for query in queries:
-                if cpe_matches(query, applicability):
+                if cpe_matches(query, name):
                     hit = True
                     break
             if hit:
@@ -96,12 +98,11 @@ cpe_segment = st.one_of(
 def one_name(uri: str) -> ComponentCandidates:
     """Candidate sets whose expansion is exactly the given name, which
     must carry vendor, product and version."""
-    name = parse_cpe_uri(uri)
-    optional = [frozenset({value}) if value else frozenset()
-                for value in (name.update, name.edition, name.language)]
-    return ComponentCandidates(frozenset({name.part}), frozenset({name.vendor}),
-                               frozenset({name.product}), frozenset({name.version}),
-                               *optional)
+    part, vendor, product, version, *optional = split_cpe_uri(uri)
+    return ComponentCandidates(frozenset({part}), frozenset({vendor}),
+                               frozenset({product}), frozenset({version}),
+                               *[frozenset({value}) if value else frozenset()
+                                 for value in optional])
 
 
 def feed_item(cve_id: str, cpes=(), cvss3=None, cvss2=None,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from invscan.cpe import (PARTS, CpeError, CpeName, cpe_matches, format_cpe_fields,
-                         format_cpe_uri, normalize_component, parse_cpe_uri, split_cpe_uri)
+                         normalize_component, split_cpe_uri)
 from conftest import SPACES, cpe_segment, seed_format_cpe_uri, seed_parse_cpe_uri
 
 # token alphabet kept small so random pairs actually collide
@@ -27,56 +27,49 @@ name_strategy = st.builds(
 
 
 def test_parse_full_uri():
-    name = parse_cpe_uri("cpe:/o:microsoft:windows_xp:5.1.2600:sp3")
-    assert name.part == "o"
-    assert name.vendor == "microsoft"
-    assert name.product == "windows_xp"
-    assert name.version == "5.1.2600"
-    assert name.update == "sp3"
-    assert name.edition is None
-    assert name.language is None
+    assert split_cpe_uri("cpe:/o:microsoft:windows_xp:5.1.2600:sp3") == (
+        "o", "microsoft", "windows_xp", "5.1.2600", "sp3", None, None)
 
 
 def test_parse_truncated_uri():
-    name = parse_cpe_uri("cpe:/a:adobe:reader")
-    assert name.version is None
-    assert format_cpe_uri(name) == "cpe:/a:adobe:reader"
+    fields = split_cpe_uri("cpe:/a:adobe:reader")
+    assert fields == ("a", "adobe", "reader", None, None, None, None)
+    assert format_cpe_fields(fields) == "cpe:/a:adobe:reader"
 
 
 def test_parse_part_only():
-    assert parse_cpe_uri("cpe:/h") == CpeName(part="h")
+    assert split_cpe_uri("cpe:/h") == ("h", *(None,) * 6)
 
 
 def test_parse_interior_empty_component():
-    name = parse_cpe_uri("cpe:/a::reader:9.0")
-    assert name.vendor is None
-    assert name.product == "reader"
+    fields = split_cpe_uri("cpe:/a::reader:9.0")
+    assert fields[1:3] == (None, "reader")
     # interior gap is preserved on the way back out
-    assert format_cpe_uri(name) == "cpe:/a::reader:9.0"
+    assert format_cpe_fields(fields) == "cpe:/a::reader:9.0"
 
 
 def test_parse_rejects_bad_prefix():
     with pytest.raises(CpeError):
-        parse_cpe_uri("cpe:2.3:a:adobe:reader")
+        split_cpe_uri("cpe:2.3:a:adobe:reader")
     with pytest.raises(CpeError):
-        parse_cpe_uri("not a cpe at all")
+        split_cpe_uri("not a cpe at all")
 
 
 def test_parse_rejects_bad_part():
     with pytest.raises(CpeError) as err:
-        parse_cpe_uri("cpe:/x:vendor:product")
+        split_cpe_uri("cpe:/x:vendor:product")
     assert "part" in str(err.value)
 
 
 def test_parse_rejects_too_many_components():
     with pytest.raises(CpeError) as err:
-        parse_cpe_uri("cpe:/a:1:2:3:4:5:6:7")
+        split_cpe_uri("cpe:/a:1:2:3:4:5:6:7")
     assert "7" in str(err.value)
 
 
 def test_format_truncates_trailing_unspecified():
-    name = CpeName(part="a", vendor="adobe", product="reader")
-    assert format_cpe_uri(name) == "cpe:/a:adobe:reader"
+    assert format_cpe_fields(("a", "adobe", "reader", None, None, None, None)) == \
+        "cpe:/a:adobe:reader"
 
 
 def test_normalize_component():
@@ -123,7 +116,8 @@ def test_string_path_equals_parse_then_format(text):
     text, equal the seed's parse-then-format, and fail alike."""
     expected = _outcome(lambda t: seed_format_cpe_uri(seed_parse_cpe_uri(t)), text)
     assert _outcome(lambda t: format_cpe_fields(split_cpe_uri(t)), text) == expected
-    assert _outcome(parse_cpe_uri, text) == _outcome(seed_parse_cpe_uri, text)
+    assert (_outcome(lambda t: CpeName(*split_cpe_uri(t)), text)
+            == _outcome(seed_parse_cpe_uri, text))
 
 
 def test_name_rejects_unnormalized_components():
@@ -139,24 +133,24 @@ def test_name_rejects_unnormalized_components():
 
 @given(name_strategy)
 def test_parse_format_round_trip(name):
-    assert parse_cpe_uri(format_cpe_uri(name)) == name
+    fields = (name.part, *name.components())
+    assert split_cpe_uri(format_cpe_fields(fields)) == fields
 
 
 def test_match_any_on_either_side():
-    stored = parse_cpe_uri("cpe:/o:microsoft:windows_xp")
-    query = parse_cpe_uri("cpe:/o:microsoft:windows_xp:5.1.2600:sp3")
+    stored = CpeName(*split_cpe_uri("cpe:/o:microsoft:windows_xp"))
+    query = CpeName(*split_cpe_uri("cpe:/o:microsoft:windows_xp:5.1.2600:sp3"))
     assert cpe_matches(query, stored)
     assert cpe_matches(stored, query)
 
 
 def test_match_requires_equal_part():
-    assert not cpe_matches(parse_cpe_uri("cpe:/a:adobe:reader"),
-                           parse_cpe_uri("cpe:/o:adobe:reader"))
+    assert not cpe_matches(CpeName("a", "adobe", "reader"), CpeName("o", "adobe", "reader"))
 
 
 def test_match_specified_values_must_agree():
-    assert not cpe_matches(parse_cpe_uri("cpe:/a:adobe:reader:9.0"),
-                           parse_cpe_uri("cpe:/a:adobe:reader:10.0"))
+    assert not cpe_matches(CpeName("a", "adobe", "reader", "9.0"),
+                           CpeName("a", "adobe", "reader", "10.0"))
 
 
 def _oracle_match(a: CpeName, b: CpeName) -> bool:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from invscan import db
-from invscan.cpe import CpeError, CpeName, format_cpe_uri, parse_cpe_uri, split_cpe_uri
+from invscan.cpe import CpeError, CpeName, format_cpe_fields, split_cpe_uri
 from invscan.db import CveRecord, DbError, VulnDatabase, canonical_applicability_uri, cpe23_to_22
 from invscan.generation import ComponentCandidates, GenerationIndex, cartesian_expand
 from invscan.server import run_update
@@ -76,7 +76,7 @@ def test_ingest_accepts_cpe23_uris(tmp_path):
         {"vulnerable": True, "cpe23Uri": "cpe:2.3:a:adobe:reader:9.0:*:*:*:*:*:*:*"}]}]
     database = make_database(tmp_path, [item])
     record = database.snapshot().records["CVE-2020-0001"]
-    assert parse_cpe_uri("cpe:/a:adobe:reader:9.0") in record.applicability
+    assert split_cpe_uri("cpe:/a:adobe:reader:9.0") in record.applicability
 
 
 def test_ingest_skips_environment_components(tmp_path):
@@ -84,7 +84,7 @@ def test_ingest_skips_environment_components(tmp_path):
                      vulnerable_flags=[True, False])
     database = make_database(tmp_path, [item])
     record = database.snapshot().records["CVE-2020-0001"]
-    assert record.applicability == frozenset({parse_cpe_uri("cpe:/a:adobe:reader")})
+    assert record.applicability == frozenset({split_cpe_uri("cpe:/a:adobe:reader")})
 
 
 def test_ingest_walks_nested_nodes(tmp_path):
@@ -95,7 +95,7 @@ def test_ingest_walks_nested_nodes(tmp_path):
     }]
     database = make_database(tmp_path, [item])
     record = database.snapshot().records["CVE-2020-0001"]
-    assert parse_cpe_uri("cpe:/a:acme:paint") in record.applicability
+    assert split_cpe_uri("cpe:/a:acme:paint") in record.applicability
 
 
 def test_cpe23_downconversion():
@@ -179,8 +179,8 @@ def test_dictionary_distinct_product_count_oracle(tmp_path, rng):
         uris.append(f"cpe:/a:{rng.choice(vendors)}:{rng.choice(products)}:1.{rng.randrange(9)}")
     database = make_database(tmp_path, [feed_item("CVE-2020-0001")], dictionary=uris)
     # independent scan over the raw listing
-    expected_products = {parse_cpe_uri(u).product for u in uris}
-    expected_vendors = {parse_cpe_uri(u).vendor for u in uris}
+    expected_products = {seed_parse_cpe_uri(u).product for u in uris}
+    expected_vendors = {seed_parse_cpe_uri(u).vendor for u in uris}
     index = database.snapshot().gen_index
     assert index.known_products == expected_products
     assert index.known_vendors == expected_vendors
@@ -313,7 +313,8 @@ _candidates = st.builds(
        queries=st.lists(_candidates, min_size=1, max_size=6))
 def test_indexed_matching_equals_brute_force(applicability, queries):
     with tempfile.TemporaryDirectory() as scratch:
-        items = [feed_item(f"CVE-2021-{10000 + i}", cpes=[format_cpe_uri(n) for n in names])
+        items = [feed_item(f"CVE-2021-{10000 + i}",
+                           cpes=[format_cpe_fields((n.part, *n.components())) for n in names])
                  for i, names in enumerate(applicability)]
         database = make_database(Path(scratch), items)
         snapshot = database.snapshot()
@@ -578,7 +579,7 @@ def test_open_upgrades_a_file_of_the_old_schema(tmp_path):
     assert database.cache_lookup(_FINGERPRINT, 3) is None
     assert database.snapshot().records == {"CVE-2020-0001": CveRecord(
         id="CVE-2020-0001", cvss_scores=frozenset({("3.1", 9.8)}),
-        applicability=frozenset({parse_cpe_uri("cpe:/a:adobe:reader")}))}
+        applicability=frozenset({split_cpe_uri("cpe:/a:adobe:reader")}))}
     # the upgraded file takes incremental updates
     feed = write_feed(tmp_path / "f.json", [feed_item("CVE-2020-0001", cvss3=5.0)])
     assert database.update_sources([feed]) == 4
@@ -644,8 +645,8 @@ def test_feed_repeating_a_cve_keeps_its_last_item(tmp_path):
         feed_item("CVE-2020-0001", cpes=["cpe:/a:zeta:ink", "cpe:/a:zeta:pen"], cvss3=9.8)])
     assert database.record_count() == 2
     record = database.snapshot().records["CVE-2020-0001"]
-    assert record.applicability == {parse_cpe_uri("cpe:/a:zeta:ink"),
-                                    parse_cpe_uri("cpe:/a:zeta:pen")}
+    assert record.applicability == {split_cpe_uri("cpe:/a:zeta:ink"),
+                                    split_cpe_uri("cpe:/a:zeta:pen")}
     assert record.max_cvss() == 9.8
     reopened = VulnDatabase(str(tmp_path / "db.sqlite"))
     assert reopened.snapshot().records == database.snapshot().records
@@ -689,6 +690,25 @@ def test_open_drops_a_stored_dictionary_name_that_is_not_normalized(tmp_path, ca
                for m in caplog.messages)
     assert any("dropping stored dictionary name" in m and "invalid part 'x'" in m
                for m in caplog.messages)
+
+
+def test_open_drops_a_stored_applicability_uri_that_does_not_parse(tmp_path, caplog):
+    make_database(tmp_path, [feed_item("CVE-2020-0001",
+                                       cpes=["cpe:/a:zeta:ink", "cpe:/a::brush"])]).close()
+    conn = sqlite3.connect(str(tmp_path / "db.sqlite"))
+    with conn:
+        conn.execute("INSERT INTO cve_cpe VALUES ('CVE-2020-0001', 'cpe:/x:zeta:pen')")
+    conn.close()
+    database = VulnDatabase(str(tmp_path / "db.sqlite"))
+    with caplog.at_level("WARNING"):
+        snapshot = database.snapshot()
+    database.close()
+    assert snapshot.records["CVE-2020-0001"].applicability == {
+        ("a", "zeta", "ink", None, None, None, None),
+        ("a", None, "brush", None, None, None, None)}
+    assert any("dropping stored unparseable URI 'cpe:/x:zeta:pen'" in m
+               for m in caplog.messages)
+    assert snapshot.match_cpes_to_cves(one_name("cpe:/a:zeta:ink:1")) == {"CVE-2020-0001"}
 
 
 _IDS = [f"CVE-2020-{n:04d}" for n in range(1, 7)]

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from invscan.cpe import CpeName, format_cpe_uri, parse_cpe_uri, split_cpe_uri
+from invscan.cpe import CpeName, format_cpe_fields, split_cpe_uri
 from invscan.generation import (ComponentCandidates, GenerationIndex,
                                 abbreviate_name, app_product_candidates,
                                 app_vendor_candidates, app_version_candidates,
@@ -249,17 +249,21 @@ def _as_tuple(name: CpeName) -> tuple:
     return tuple(parts)
 
 
+def _uri(name: CpeName) -> str:
+    return format_cpe_fields((name.part, *name.components()))
+
+
 def test_cartesian_singletons():
     c = ComponentCandidates(platforms=frozenset({"a"}), vendors=frozenset({"adobe"}),
                             products=frozenset({"reader"}), versions=frozenset({"9.0"}))
-    assert {format_cpe_uri(n) for n in cartesian_expand(c)} == {"cpe:/a:adobe:reader:9.0"}
+    assert {_uri(n) for n in cartesian_expand(c)} == {"cpe:/a:adobe:reader:9.0"}
 
 
 def test_cartesian_with_update():
     c = ComponentCandidates(platforms=frozenset({"o"}), vendors=frozenset({"microsoft"}),
                             products=frozenset({"windows_xp"}),
                             versions=frozenset({"5.1.2600"}), updates=frozenset({"sp3"}))
-    assert {format_cpe_uri(n) for n in cartesian_expand(c)} == {
+    assert {_uri(n) for n in cartesian_expand(c)} == {
         "cpe:/o:microsoft:windows_xp:5.1.2600:sp3"}
 
 
@@ -313,7 +317,7 @@ def test_cartesian_truncates_below_empty_update_set():
     c = ComponentCandidates(platforms=frozenset({"a"}), vendors=frozenset({"v"}),
                             products=frozenset({"p"}), versions=frozenset({"1"}),
                             updates=frozenset(), languages=frozenset({"en", "de"}))
-    assert {format_cpe_uri(n) for n in cartesian_expand(c)} == {"cpe:/a:v:p:1"}
+    assert {_uri(n) for n in cartesian_expand(c)} == {"cpe:/a:v:p:1"}
 
 
 # -- full generation ------------------------------------------------------------
@@ -322,7 +326,7 @@ def test_generate_windows_xp_sp3():
     pvc = os_pvc("windows xp", service_pack="service pack 3",
                  major=5, minor=1, build=2600)
     names = generate_cpes(pvc, GenerationIndex())
-    assert parse_cpe_uri("cpe:/o:microsoft:windows_xp:5.1.2600:sp3") in names
+    assert CpeName(*split_cpe_uri("cpe:/o:microsoft:windows_xp:5.1.2600:sp3")) in names
     # the update convention fired, so every name carries it
     assert all(n.update == "sp3" for n in names)
 
@@ -330,7 +334,7 @@ def test_generate_windows_xp_sp3():
 def test_generate_adobe_reader():
     index = _index("cpe:/a:adobe:reader:9.0")
     names = generate_cpes(app_pvc("Adobe Reader", display_version="9.0"), index)
-    assert parse_cpe_uri("cpe:/a:adobe:reader:9.0") in names
+    assert CpeName(*split_cpe_uri("cpe:/a:adobe:reader:9.0")) in names
 
 
 def test_generate_hardware_part():

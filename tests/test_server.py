@@ -15,7 +15,7 @@ import pytest
 
 from invscan import server as server_module
 from invscan.db import VulnDatabase
-from invscan.engine import execute_job
+from invscan.engine import EngineError, execute_job
 from invscan.inventory import Inventory, Pvc, PvcKind
 from invscan.protocol import (MsgType, decode_frame, encode_frame,
                               open_message, read_frame, result_request_body,
@@ -312,6 +312,33 @@ def test_failed_job_reports_scan_failed(tmp_path, monkeypatch):
     msg_type, body = server.fetch_result(token, "vsc-1")
     assert msg_type is MsgType.SCAN_REJECT
     assert body["reason"] == "scan-failed"
+
+
+def test_job_on_a_never_updated_database_fails_once(caplog):
+    database = VulnDatabase(":memory:")
+    config = ServerConfig(firewall_rules=_ALLOW_ALL, worker_count=1)
+    server = VulnServer(config, database, {"vsc-1": client_credential()})
+    client = client_credential()
+    view = client_credential()
+    doc = {"target_label": "host-1",
+           "pvcs": [{"kind": "app", "name": f"Acme Tool {n}", "publisher": "Acme"}
+                    for n in range(5)]}
+    server.start_workers()
+    try:
+        with caplog.at_level("ERROR"):
+            accepted = open_reply(wire_exchange(server, [scan_request_frame(client, 1, doc)])[0],
+                                  view)
+            assert accepted.msg_type is MsgType.SCAN_ACCEPT
+            token = accepted.body["token"]
+            reply = open_reply(
+                wire_exchange(server, [result_request_frame(client, 2, token)])[0], view)
+    finally:
+        server.stop_workers()
+        database.close()
+    assert reply.msg_type is MsgType.SCAN_REJECT
+    assert reply.body["reason"] == "scan-failed"
+    [error] = [record for record in caplog.records if record.levelname == "ERROR"]
+    assert error.exc_info[0] is EngineError
 
 
 def test_concurrent_submissions_all_accounted(tmp_path):
