@@ -1,20 +1,26 @@
 """Vulnerability database: feed ingestion, persistence, matching, caching.
 
-Backed by a single sqlite file. Data changes only through update_sources,
-one transaction that ingests the sources and bumps the generation
-counter. Each CVE row a feed writes is tagged with the new generation,
-and an update that ingests a dictionary records its generation in meta.
-Readers work against an immutable per-generation snapshot (records,
-match index, generation index). Opening a file builds nothing: the first
-snapshot() call builds the snapshot of the file's generation from an
-empty one, so every row is read. After that snapshot() builds whenever
-the file's generation has moved: an update builds nothing, and one made
-through this connection or another (another process) is picked up by
-the next snapshot() call. A new snapshot is built from the previous one:
-it re-reads only the CVE rows tagged after the previous generation,
-reuses every other record object and, unless a dictionary arrived since,
-the generation index, and rebuilds only the match-index buckets the
-re-read records left or entered.
+Backed by a single sqlite file in WAL journal mode: a reader sees the
+last commit and never waits on a writer, in this process or another,
+and a commit appends to the -wal file beside the database (with the
+-shm index, which needs a local filesystem); synchronous stays FULL.
+Data changes only through update_sources, one transaction that ingests
+the sources and bumps the generation counter. Each CVE row a feed writes
+is tagged with the new generation (an index covers the tag), and an
+update that ingests a dictionary or an exploit map records its
+generation in meta. Readers work against an immutable per-generation
+snapshot (records, exploited ids, match index, generation index).
+Opening a file builds nothing: the first snapshot() call builds the
+snapshot of the file's generation from an empty one, scanning every
+row. After that snapshot() builds whenever the file's generation has
+moved: an update builds nothing, and one made through this connection
+or another (another process) is picked up by the next snapshot() call.
+A new snapshot is built from the previous one: it re-reads only the CVE
+rows tagged after the previous generation, and, unless an exploit map
+arrived since, only their exploit links; it reuses every other record
+object and, unless a dictionary arrived since, the generation index,
+and rebuilds only the match-index buckets the re-read records left or
+entered.
 
 The scan cache lives in memory, in the live snapshot: a new generation
 starts it empty, and so does a restart. It holds at most
@@ -45,6 +51,14 @@ CVE_ID_RE = re.compile(r"CVE-\d{4}-\d{4,}")
 
 # Scan results the live snapshot keeps; past this the oldest are dropped.
 CACHE_MAX_ENTRIES = 50_000
+
+# The applicability and score rows a snapshot build reads. The first build
+# reads every row, so it scans the tables; a delta build seeks the rows
+# tagged after the previous generation through the changed_generation index.
+_FIRST_BUILD_READS = ("SELECT cve_id, uri FROM cve_cpe", "SELECT id, cvss FROM cve")
+_DELTA_BUILD_READS = ("SELECT cve_id, uri FROM cve_cpe WHERE cve_id IN "
+                      "(SELECT id FROM cve WHERE changed_generation > ?)",
+                      "SELECT id, cvss FROM cve WHERE changed_generation > ?")
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -121,12 +135,15 @@ class DbSnapshot:
     snapshot, oldest first; only VulnDatabase reads and writes it. The ids
     are kept as tuples of str, which the collector stops tracking, so a
     full collection does not walk the cache.
+
+    exploited holds the ids of the records whose exploit_available is set.
     """
 
     generation: int
     records: dict[str, CveRecord]
     match_index: dict[tuple[str, str], tuple[tuple[str, tuple[str | None, ...]], ...]]
     gen_index: GenerationIndex
+    exploited: frozenset[str] = frozenset()
     cache: dict[bytes, tuple[str, ...]] = field(default_factory=dict, repr=False,
                                                 compare=False)
 
@@ -236,6 +253,8 @@ class VulnDatabase:
         self._lock = threading.RLock()
         self._cache_lock = threading.Lock()
         self._conn = sqlite3.connect(path, check_same_thread=False)
+        # Readers see the last commit while a writer works; synchronous stays FULL.
+        self._conn.execute("PRAGMA journal_mode=WAL")
         self._conn.executescript(_SCHEMA)
         with self._conn:
             self._conn.execute("BEGIN IMMEDIATE")
@@ -245,6 +264,8 @@ class VulnDatabase:
             if "changed_generation" not in columns:
                 self._conn.execute("ALTER TABLE cve ADD COLUMN "
                                    "changed_generation INTEGER NOT NULL DEFAULT 0")
+            self._conn.execute("CREATE INDEX IF NOT EXISTS cve_changed_generation "
+                               "ON cve (changed_generation)")
             for legacy in sorted(columns & {"description", "published"}):
                 self._conn.execute(f"ALTER TABLE cve DROP COLUMN {legacy}")
             # A file from when the scan cache was a table.
@@ -303,9 +324,12 @@ class VulnDatabase:
         Only the CVE rows tagged after previous.generation are read
         again, each distinct stored URI parsed once; every other record
         object is shared with the previous snapshot, replaced only where
-        its exploit flag changed. The match index is patched: only the
-        buckets keyed by the old or new applicability of a re-read
-        record are rebuilt. The generation index is reused unless a
+        its exploit flag changed. Rows are only upserted and links only
+        inserted, so the exploited set only grows: unless an exploit map
+        arrived after previous.generation, the re-read rows' links are
+        all it gains, and only those are read. The match index is
+        patched: only the buckets keyed by the old or new applicability
+        of a re-read record are rebuilt. The generation index is reused unless a
         dictionary was ingested after previous.generation. The reads
         share one transaction, so the snapshot shows exactly one
         generation. Runs with the cyclic collector paused.
@@ -314,19 +338,21 @@ class VulnDatabase:
         since = previous.generation
         records = dict(previous.records)
         gen_index = previous.gen_index
+        cpe_read, cve_read = _FIRST_BUILD_READS if since < 0 else _DELTA_BUILD_READS
+        args = () if since < 0 else (since,)
         with self._conn:
             self._conn.execute("BEGIN")
             generation = self._read_meta("generation")
-            exploited = {
-                row[0] for row in self._conn.execute(
-                    "SELECT DISTINCT e.cve_id FROM exploit_link e JOIN cve c ON c.id = e.cve_id"
-                )
-            }
+            if self._read_meta("exploit_generation") > since:
+                exploited = frozenset(row[0] for row in self._conn.execute(
+                    "SELECT DISTINCT e.cve_id FROM exploit_link e JOIN cve c ON c.id = e.cve_id"))
+            else:
+                exploited = previous.exploited.union(row[0] for row in self._conn.execute(
+                    "SELECT DISTINCT cve_id FROM exploit_link WHERE cve_id IN "
+                    "(SELECT id FROM cve WHERE changed_generation > ?)", (since,)))
             parsed: dict[str, tuple[str | None, ...] | None] = {}
             applicability: dict[str, set[tuple[str | None, ...]]] = {}
-            for cve_id, uri in self._conn.execute(
-                    "SELECT cve_id, uri FROM cve_cpe WHERE cve_id IN "
-                    "(SELECT id FROM cve WHERE changed_generation > ?)", (since,)):
+            for cve_id, uri in self._conn.execute(cpe_read, args):
                 if uri not in parsed:
                     try:
                         parsed[uri] = split_cpe_uri(uri)
@@ -338,8 +364,7 @@ class VulnDatabase:
             reread: dict[str, CveRecord] = {}
             # Match-index buckets a re-read record leaves or enters.
             touched: set[tuple[str, str]] = set()
-            for cve_id, cvss_json in self._conn.execute(
-                    "SELECT id, cvss FROM cve WHERE changed_generation > ?", (since,)):
+            for cve_id, cvss_json in self._conn.execute(cve_read, args):
                 scores = frozenset(
                     (str(tag), float(score)) for tag, score in json.loads(cvss_json)
                 )
@@ -352,8 +377,7 @@ class VulnDatabase:
                     exploit_available=cve_id in exploited,
                 )
                 touched.update(map(_bucket_key, reread[cve_id].applicability))
-            flagged = {cve_id for cve_id, record in records.items() if record.exploit_available}
-            for cve_id in flagged ^ exploited:
+            for cve_id in (previous.exploited ^ exploited) - reread.keys():
                 records[cve_id] = replace(records[cve_id],
                                           exploit_available=cve_id in exploited)
             dictionary_changed = self._read_meta("dictionary_generation") > since
@@ -389,6 +413,7 @@ class VulnDatabase:
             records=records,
             match_index=match_index,
             gen_index=gen_index,
+            exploited=exploited,
         )
 
     # -- ingestion -------------------------------------------------------
@@ -500,6 +525,8 @@ class VulnDatabase:
                     links = sum(map(self._ingest_exploits_locked, exploit_paths))
                     if dictionary_paths:
                         self._write_meta("dictionary_generation", new_generation)
+                    if exploit_paths:
+                        self._write_meta("exploit_generation", new_generation)
                     self._write_meta("generation", new_generation)
             except Exception:
                 log.exception("update failed; generation unchanged")

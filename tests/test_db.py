@@ -572,6 +572,7 @@ def test_open_upgrades_a_file_of_the_old_schema(tmp_path):
         conn.execute("INSERT INTO cache VALUES (?,?,?,?)",
                      (_FINGERPRINT.hex(), 3, '["CVE-2020-0001"]',
                       '["cpe:/a:adobe:reader:9.0"]'))
+    assert conn.execute("PRAGMA journal_mode").fetchone() == ("delete",)
     conn.close()
     database = VulnDatabase(path)
     assert database.snapshot().generation == 3
@@ -588,9 +589,47 @@ def test_open_upgrades_a_file_of_the_old_schema(tmp_path):
     conn = sqlite3.connect(path)
     columns = [row[1] for row in conn.execute("PRAGMA table_info(cve)")]
     tables = {row[0] for row in conn.execute("SELECT name FROM sqlite_master WHERE type = 'table'")}
+    indexes = {row[1] for row in conn.execute("PRAGMA index_list(cve)")}
+    journal_mode = conn.execute("PRAGMA journal_mode").fetchone()
     conn.close()
     assert columns == ["id", "cvss", "changed_generation"]
     assert tables == {"meta", "cve", "cve_cpe", "cpe_dict", "exploit_link"}
+    assert "cve_changed_generation" in indexes
+    assert journal_mode == ("wal",)
+
+
+def test_first_build_scans_and_a_delta_build_seeks_through_the_index(tmp_path):
+    """The first snapshot reads every row, so it scans the tables; a delta
+    build finds the rows tagged after the previous generation through
+    the changed_generation index."""
+    database = make_database(tmp_path, [feed_item(f"CVE-2020-{n:04d}", cpes=[uri])
+                                        for n, uri in enumerate(_APPLICABILITY, start=1)])
+
+    def build_plans() -> dict[str, list[str]]:
+        """Query plan of each read of the next build, but the meta reads."""
+        statements = []
+        database._conn.set_trace_callback(statements.append)
+        database.snapshot()
+        database._conn.set_trace_callback(None)
+        return {statement: [row[3] for row in
+                            database._conn.execute(f"EXPLAIN QUERY PLAN {statement}")]
+                for statement in statements
+                if statement.startswith("SELECT") and "FROM meta" not in statement}
+
+    first = build_plans()
+    [cpe_read] = [plan for statement, plan in first.items() if "FROM cve_cpe" in statement]
+    [cve_read] = [plan for statement, plan in first.items() if "SELECT id, cvss" in statement]
+    assert (cpe_read, cve_read) == (["SCAN cve_cpe"], ["SCAN cve"])
+    assert not any("cve_changed_generation" in step
+                   for plan in first.values() for step in plan)
+    feed = write_feed(tmp_path / "f2.json", [feed_item("CVE-2020-0001", cvss3=9.8)])
+    database.update_sources([feed])
+    delta = build_plans()
+    # the applicability, score and exploit-link reads
+    assert len(delta) == 3
+    assert all(any("USING INDEX cve_changed_generation" in step for step in plan)
+               for plan in delta.values())
+    database.close()
 
 
 def test_update_reuses_unchanged_records_and_logs_the_build(tmp_path, caplog):
@@ -724,15 +763,20 @@ _QUERIES = [one_name(uri) for uri in (
                         frozenset({"paint", "brush", "zos"}), frozenset({"1.0", "2"}),
                         updates=frozenset({"sp1"}))]
 
-_update = st.fixed_dictionaries({
-    "feed": st.lists(st.tuples(st.sampled_from(_IDS),
-                               st.sampled_from([None, 5.0, 9.8]),
-                               st.sets(st.sampled_from(_APPLICABILITY), max_size=3)),
-                     max_size=3),
-    "dictionary": st.lists(st.sampled_from(_DICTIONARY), max_size=2),
-    "exploits": st.lists(st.tuples(st.sampled_from(["EDB-1", "EDB-2"]),
-                                   st.sampled_from(_IDS)), max_size=2),
-})
+_link = st.tuples(st.sampled_from(["EDB-1", "EDB-2"]), st.sampled_from(_IDS))
+# An update of any sources, or one that carries only an exploit map.
+_update = st.one_of(
+    st.fixed_dictionaries({
+        "feed": st.lists(st.tuples(st.sampled_from(_IDS),
+                                   st.sampled_from([None, 5.0, 9.8]),
+                                   st.sets(st.sampled_from(_APPLICABILITY), max_size=3)),
+                         max_size=3),
+        "dictionary": st.lists(st.sampled_from(_DICTIONARY), max_size=2),
+        "exploits": st.lists(_link, max_size=2),
+    }),
+    st.fixed_dictionaries({"feed": st.just([]), "dictionary": st.just([]),
+                           "exploits": st.lists(_link, min_size=1, max_size=2)}),
+)
 # A step is one update through the long-lived connection, or one or more
 # through a second connection, which the first then catches up on at once.
 _step = st.one_of(st.tuples(st.just("live"), st.lists(_update, min_size=1, max_size=1)),
@@ -757,8 +801,19 @@ def _buckets(snapshot):
     return {key: set(pairs) for key, pairs in snapshot.match_index.items()}
 
 
+def _only(**sources):
+    return {"feed": [], "dictionary": [], "exploits": [], **sources}
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(_step, min_size=1, max_size=6))
+# A link arrives before its CVE; a later feed adds the CVE, then another one.
+@example([("live", [_only(exploits=[("EDB-1", _IDS[0])])]),
+          ("live", [_only(feed=[(_IDS[0], None, {_APPLICABILITY[0]})])]),
+          ("other", [_only(feed=[(_IDS[1], 5.0, set())])])])
+# An update that carries only an exploit map flags a record it does not re-read.
+@example([("live", [_only(feed=[(_IDS[0], 9.8, {_APPLICABILITY[0]})])]),
+          ("other", [_only(exploits=[("EDB-2", _IDS[0])])])])
 def test_incremental_snapshot_equals_a_fresh_open(steps):
     with tempfile.TemporaryDirectory() as scratch:
         directory = Path(scratch)
@@ -777,6 +832,9 @@ def test_incremental_snapshot_equals_a_fresh_open(steps):
                 got = database.snapshot()
                 assert got.generation == expected.generation == serial
                 assert got.records == expected.records
+                assert got.exploited == expected.exploited == {
+                    cve_id for cve_id, record in got.records.items()
+                    if record.exploit_available}
                 assert got.gen_index == expected.gen_index
                 assert _buckets(got) == _buckets(expected)
                 for query in _QUERIES:

@@ -3,6 +3,7 @@
 import json
 import sqlite3
 import string
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -343,6 +344,77 @@ def test_job_keeps_its_results_while_another_connection_writes(tmp_path, caplog)
             == [result.cve_ids for result in expected.results])
     assert not any("not cached" in m for m in caplog.messages)
     assert all(result.cache_hit for result in rescan.results)
+
+
+def _check_against_oracle(report, inventory):
+    """Every component's ids are the all-pairs oracle's on the job's snapshot."""
+    snapshot = report.snapshot
+    for pvc, result in zip(inventory.pvcs, report.results, strict=True):
+        assert result.error is None
+        assert result.cve_ids == brute_force_match(snapshot.records,
+                                                   generate_cpes(pvc, snapshot.gen_index))
+
+
+@pytest.mark.parametrize("hold", ["begin-exclusive", "open-update"])
+def test_reads_see_the_last_commit_while_another_connection_holds_the_file(tmp_path, hold):
+    """The file is in WAL mode, so a reader never waits on a writer: while
+    another connection holds the file exclusively, or sits inside an
+    update that has written rows, snapshot() answers the last committed
+    generation without waiting out a 50 ms busy timeout (a wait would
+    raise "database is locked"), and a job matches the all-pairs oracle
+    on it."""
+    path = str(tmp_path / "db.sqlite")
+    database = catalog_database(tmp_path)
+    database._conn.execute("PRAGMA busy_timeout = 50")
+    inventory = catalog_inventory(5)
+    added = feed_item("CVE-2019-3000", cpes=["cpe:/a:adobe:reader"])
+    feed = write_feed(tmp_path / "added.json", [added])
+    links = write_exploit_map(tmp_path / "added.csv", [("EDB-300", "CVE-2019-3000")])
+    if hold == "begin-exclusive":
+        writer = sqlite3.connect(path, isolation_level=None)
+        writer.execute("BEGIN EXCLUSIVE")
+        writer.execute("UPDATE meta SET value = '2' WHERE key = 'generation'")
+
+        def release():
+            writer.execute("ROLLBACK")
+            writer.close()
+        committed = 1
+    else:
+        updater = VulnDatabase(path)
+        inside, go_on = threading.Event(), threading.Event()
+        ingest_exploits = updater._ingest_exploits_locked
+
+        def held(exploit_path):
+            inside.set()
+            assert go_on.wait(10)
+            return ingest_exploits(exploit_path)
+
+        updater._ingest_exploits_locked = held
+        update = threading.Thread(target=updater.update_sources, args=([feed], [], [links]))
+        update.start()
+        assert inside.wait(10), "the update never reached its exploit maps"
+
+        def release():
+            go_on.set()
+            update.join(10)
+            assert not update.is_alive()
+            updater.close()
+        committed = 2
+    try:
+        snapshot = database.snapshot()
+        report = execute_job(ScanJob(token="t-held", client_id="c1", inventory=inventory),
+                             database)
+    finally:
+        release()
+    assert snapshot.generation == report.snapshot.generation == 1
+    assert "CVE-2019-3000" not in snapshot.records
+    _check_against_oracle(report, inventory)
+    # once the writer is gone, the next job reads what it committed
+    after = execute_job(ScanJob(token="t-after", client_id="c1", inventory=inventory),
+                        database)
+    assert after.snapshot.generation == committed
+    assert ("CVE-2019-3000" in after.snapshot.exploited) is (hold == "open-update")
+    _check_against_oracle(after, inventory)
 
 
 def test_summary_recomputable_from_results(tmp_path):
