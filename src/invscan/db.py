@@ -5,11 +5,12 @@ last commit and never waits on a writer, in this process or another,
 and a commit appends to the -wal file beside the database (with the
 -shm index, which needs a local filesystem); synchronous stays FULL.
 Data changes only through update_sources, one transaction that ingests
-the sources and bumps the generation counter. Each CVE row a feed writes
-is tagged with the new generation (an index covers the tag), and an
-update that ingests a dictionary or an exploit map records its
-generation in meta. Readers work against an immutable per-generation
-snapshot (records, exploited ids, match index, generation index).
+the sources and bumps the generation counter. A feed upserts one row
+per CVE, holding its scores and its applicability (sorted canonical
+URIs) as JSON lists and tagged with the new generation (an index covers
+the tag); an update that ingests a dictionary or an exploit map records
+its generation in meta. Readers work against an immutable snapshot per
+generation (records, exploited ids, match index, generation index).
 Opening a file builds nothing: the first snapshot() call builds the
 snapshot of the file's generation from an empty one, scanning every
 row. After that snapshot() builds whenever the file's generation has
@@ -39,7 +40,7 @@ import re
 import sqlite3
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .cpe import (PARTS, CpeError, check_cpe_fields, format_cpe_fields,
                   normalize_all, normalize_component, split_cpe_uri)
@@ -52,13 +53,11 @@ CVE_ID_RE = re.compile(r"CVE-\d{4}-\d{4,}")
 # Scan results the live snapshot keeps; past this the oldest are dropped.
 CACHE_MAX_ENTRIES = 50_000
 
-# The applicability and score rows a snapshot build reads. The first build
-# reads every row, so it scans the tables; a delta build seeks the rows
-# tagged after the previous generation through the changed_generation index.
-_FIRST_BUILD_READS = ("SELECT cve_id, uri FROM cve_cpe", "SELECT id, cvss FROM cve")
-_DELTA_BUILD_READS = ("SELECT cve_id, uri FROM cve_cpe WHERE cve_id IN "
-                      "(SELECT id FROM cve WHERE changed_generation > ?)",
-                      "SELECT id, cvss FROM cve WHERE changed_generation > ?")
+# The CVE rows a snapshot build reads. The first build reads every row, so
+# it scans the table; a delta build seeks the rows tagged after the
+# previous generation through the changed_generation index.
+_FIRST_BUILD_READ = "SELECT id, cvss, applicability FROM cve"
+_DELTA_BUILD_READ = _FIRST_BUILD_READ + " WHERE changed_generation > ?"
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -68,12 +67,8 @@ CREATE TABLE IF NOT EXISTS meta (
 CREATE TABLE IF NOT EXISTS cve (
     id TEXT PRIMARY KEY,
     cvss TEXT NOT NULL DEFAULT '[]',
-    changed_generation INTEGER NOT NULL DEFAULT 0
-);
-CREATE TABLE IF NOT EXISTS cve_cpe (
-    cve_id TEXT NOT NULL,
-    uri TEXT NOT NULL,
-    UNIQUE (cve_id, uri)
+    changed_generation INTEGER NOT NULL DEFAULT 0,
+    applicability TEXT NOT NULL DEFAULT '[]'
 );
 CREATE TABLE IF NOT EXISTS cpe_dict (
     uri TEXT PRIMARY KEY,
@@ -90,17 +85,18 @@ CREATE TABLE IF NOT EXISTS exploit_link (
 
 
 class DbError(Exception):
-    """Raised for database misuse (a malformed CVE id)."""
+    """Raised for database misuse (a malformed CVE id) and for a feed file
+    that is not an object holding a CVE_Items list."""
 
 
 @dataclass(frozen=True)
 class CveRecord:
-    """One vulnerability: identity, scores, applicable CPE field tuples."""
+    """One vulnerability: identity, scores, applicable CPE field tuples;
+    whether an exploit is known is kept in DbSnapshot.exploited."""
 
     id: str
     cvss_scores: frozenset[tuple[str, float]] = frozenset()
     applicability: frozenset[tuple[str | None, ...]] = frozenset()
-    exploit_available: bool = False
 
     def __post_init__(self) -> None:
         if not CVE_ID_RE.fullmatch(self.id):
@@ -136,7 +132,8 @@ class DbSnapshot:
     are kept as tuples of str, which the collector stops tracking, so a
     full collection does not walk the cache.
 
-    exploited holds the ids of the records whose exploit_available is set.
+    exploited holds the ids of the records with an exploit link: the one
+    place exploit availability is kept, so no record object carries it.
     """
 
     generation: int
@@ -268,6 +265,15 @@ class VulnDatabase:
                                "ON cve (changed_generation)")
             for legacy in sorted(columns & {"description", "published"}):
                 self._conn.execute(f"ALTER TABLE cve DROP COLUMN {legacy}")
+            # A file whose cve rows lack applicability kept it in a cve_cpe
+            # side table: each CVE's URIs move into its row, sorted.
+            if "applicability" not in columns:
+                self._conn.execute("ALTER TABLE cve ADD COLUMN "
+                                   "applicability TEXT NOT NULL DEFAULT '[]'")
+                self._conn.execute(
+                    "UPDATE cve SET applicability = (SELECT json_group_array(uri) FROM "
+                    "(SELECT uri FROM cve_cpe WHERE cve_id = cve.id ORDER BY uri))")
+                self._conn.execute("DROP TABLE cve_cpe")
             # A file from when the scan cache was a table.
             self._conn.execute("DROP TABLE IF EXISTS cache")
             # A file whose dictionary rows carry only the URI: the fields
@@ -323,23 +329,23 @@ class VulnDatabase:
 
         Only the CVE rows tagged after previous.generation are read
         again, each distinct stored URI parsed once; every other record
-        object is shared with the previous snapshot, replaced only where
-        its exploit flag changed. Rows are only upserted and links only
-        inserted, so the exploited set only grows: unless an exploit map
-        arrived after previous.generation, the re-read rows' links are
-        all it gains, and only those are read. The match index is
-        patched: only the buckets keyed by the old or new applicability
-        of a re-read record are rebuilt. The generation index is reused unless a
-        dictionary was ingested after previous.generation. The reads
-        share one transaction, so the snapshot shows exactly one
-        generation. Runs with the cyclic collector paused.
+        object is shared with the previous snapshot. Rows are only
+        upserted and links only inserted, so the exploited set only
+        grows: unless an exploit map arrived after previous.generation,
+        the re-read rows' links are all it gains, and only those are
+        read. The match index is patched: only the buckets keyed by the
+        old or new applicability of a re-read record are rebuilt. The
+        generation index is reused unless a dictionary was ingested
+        after previous.generation. The reads share one transaction, so
+        the snapshot shows exactly one generation. A stored value that is
+        not JSON, or an applicability that is not a JSON list, raises
+        ValueError. Runs with the cyclic collector paused.
         """
         started = time.perf_counter()
         since = previous.generation
         records = dict(previous.records)
         gen_index = previous.gen_index
-        cpe_read, cve_read = _FIRST_BUILD_READS if since < 0 else _DELTA_BUILD_READS
-        args = () if since < 0 else (since,)
+        cve_read, args = (_FIRST_BUILD_READ, ()) if since < 0 else (_DELTA_BUILD_READ, (since,))
         with self._conn:
             self._conn.execute("BEGIN")
             generation = self._read_meta("generation")
@@ -351,35 +357,32 @@ class VulnDatabase:
                     "SELECT DISTINCT cve_id FROM exploit_link WHERE cve_id IN "
                     "(SELECT id FROM cve WHERE changed_generation > ?)", (since,)))
             parsed: dict[str, tuple[str | None, ...] | None] = {}
-            applicability: dict[str, set[tuple[str | None, ...]]] = {}
-            for cve_id, uri in self._conn.execute(cpe_read, args):
-                if uri not in parsed:
-                    try:
-                        parsed[uri] = split_cpe_uri(uri)
-                    except CpeError:
-                        log.warning("dropping stored unparseable URI %r", uri)
-                        parsed[uri] = None
-                if parsed[uri] is not None:
-                    applicability.setdefault(cve_id, set()).add(parsed[uri])
             reread: dict[str, CveRecord] = {}
             # Match-index buckets a re-read record leaves or enters.
             touched: set[tuple[str, str]] = set()
-            for cve_id, cvss_json in self._conn.execute(cve_read, args):
+            for cve_id, cvss_json, uris_json in self._conn.execute(cve_read, args):
                 scores = frozenset(
                     (str(tag), float(score)) for tag, score in json.loads(cvss_json)
                 )
+                uris = json.loads(uris_json)
+                if not isinstance(uris, list):
+                    raise ValueError(f"stored applicability of {cve_id} is not a JSON list")
+                for uri in uris:
+                    if uri not in parsed:
+                        try:
+                            parsed[uri] = split_cpe_uri(uri)
+                        except CpeError:
+                            log.warning("dropping stored unparseable URI %r", uri)
+                            parsed[uri] = None
                 if cve_id in records:
                     touched.update(map(_bucket_key, records[cve_id].applicability))
                 records[cve_id] = reread[cve_id] = CveRecord(
                     id=cve_id,
                     cvss_scores=scores,
-                    applicability=frozenset(applicability.get(cve_id, set())),
-                    exploit_available=cve_id in exploited,
+                    applicability=frozenset(parsed[uri] for uri in uris
+                                            if parsed[uri] is not None),
                 )
                 touched.update(map(_bucket_key, reread[cve_id].applicability))
-            for cve_id in (previous.exploited ^ exploited) - reread.keys():
-                records[cve_id] = replace(records[cve_id],
-                                          exploit_available=cve_id in exploited)
             dictionary_changed = self._read_meta("dictionary_generation") > since
             if dictionary_changed:
                 dict_fields = []
@@ -419,45 +422,43 @@ class VulnDatabase:
     # -- ingestion -------------------------------------------------------
 
     def _ingest_feed_locked(self, path: str, generation: int) -> int:
-        """Write one feed's CVE rows, tagged with the generation, and their
-        applicability; returns the number of CVE rows written. A CVE id
-        that repeats within the feed keeps its last item. Each distinct
-        applicability URI is canonicalized once."""
+        """Upsert one feed's CVE rows, scores and applicability, tagged with
+        the generation; returns the number of CVE rows written. A CVE id
+        that repeats within the feed keeps its last item; a malformed item
+        is skipped with one warning naming its position."""
         with open(path, "r", encoding="utf-8") as fh:
             feed = json.load(fh)
+        items = feed.get("CVE_Items", []) if isinstance(feed, dict) else None
+        if not isinstance(items, list):
+            raise DbError(f"feed {path} is not an object holding a CVE_Items list")
         stored: dict[str, str | None] = {}
-        rows: dict[str, tuple[str, set[str]]] = {}
-        for position, item in enumerate(feed.get("CVE_Items", [])):
-            if not isinstance(item, dict):
-                log.warning("feed %s item %d is not an object; skipped", path, position)
+        rows: dict[str, tuple[str, str]] = {}
+        for position, item in enumerate(items):
+            # A value of the wrong type anywhere in the item raises one of these.
+            try:
+                cve_id = item.get("cve", {}).get("CVE_data_meta", {}).get("ID")
+                if not cve_id or not CVE_ID_RE.fullmatch(str(cve_id)):
+                    raise ValueError("it lacks a usable CVE id")
+                scores = _extract_cvss(item.get("impact", {}))
+                uris: set[str] = set()
+                for entry in _walk_nodes(item.get("configurations", {}).get("nodes", [])):
+                    uri = entry.get("cpe22Uri") or entry.get("cpe23Uri")
+                    if not uri or entry.get("vulnerable") is False:
+                        continue
+                    if uri not in stored:
+                        stored[uri] = canonical_applicability_uri(uri)
+                    if stored[uri] is not None:
+                        uris.add(stored[uri])
+            except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+                log.warning("feed %s item %d skipped: %s", path, position, exc)
                 continue
-            cve_obj = item.get("cve", {})
-            cve_id = cve_obj.get("CVE_data_meta", {}).get("ID")
-            if not cve_id or not CVE_ID_RE.fullmatch(str(cve_id)):
-                log.warning("feed %s item %d lacks a usable CVE id; skipped", path, position)
-                continue
-            scores = _extract_cvss(item.get("impact", {}))
-            uris: set[str] = set()
-            for entry in _walk_nodes(item.get("configurations", {}).get("nodes", [])):
-                uri = entry.get("cpe22Uri") or entry.get("cpe23Uri")
-                if not uri or entry.get("vulnerable") is False:
-                    continue
-                if uri not in stored:
-                    stored[uri] = canonical_applicability_uri(uri)
-                if stored[uri] is not None:
-                    uris.add(stored[uri])
-            rows[str(cve_id)] = (json.dumps(sorted(scores)), uris)
+            rows[str(cve_id)] = (json.dumps(sorted(scores)), json.dumps(sorted(uris)))
         self._conn.executemany(
-            "INSERT INTO cve (id, cvss, changed_generation) VALUES (?,?,?) "
+            "INSERT INTO cve (id, cvss, applicability, changed_generation) VALUES (?,?,?,?) "
             "ON CONFLICT(id) DO UPDATE SET cvss=excluded.cvss, "
+            "applicability=excluded.applicability, "
             "changed_generation=excluded.changed_generation",
-            [(cve_id, cvss, generation) for cve_id, (cvss, _) in rows.items()],
-        )
-        self._conn.executemany("DELETE FROM cve_cpe WHERE cve_id = ?",
-                               [(cve_id,) for cve_id in rows])
-        self._conn.executemany(
-            "INSERT OR IGNORE INTO cve_cpe (cve_id, uri) VALUES (?,?)",
-            [(cve_id, uri) for cve_id, (_, uris) in rows.items() for uri in sorted(uris)],
+            [(cve_id, *row, generation) for cve_id, row in rows.items()],
         )
         return len(rows)
 

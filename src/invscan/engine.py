@@ -114,7 +114,6 @@ def _summarize(results, snapshot: DbSnapshot) -> tuple[int, float | None, int]:
     for result in results:
         all_ids |= result.cve_ids
     max_cvss: float | None = None
-    exploit_count = 0
     for cve_id in all_ids:
         record = snapshot.records.get(cve_id)
         if record is None:
@@ -122,9 +121,7 @@ def _summarize(results, snapshot: DbSnapshot) -> tuple[int, float | None, int]:
         best = record.max_cvss()
         if best is not None and (max_cvss is None or best > max_cvss):
             max_cvss = best
-        if record.exploit_available:
-            exploit_count += 1
-    return len(all_ids), max_cvss, exploit_count
+    return len(all_ids), max_cvss, len(snapshot.exploited.intersection(all_ids))
 
 
 def execute_job(job: ScanJob, database: VulnDatabase) -> ScanReport:
@@ -176,13 +173,12 @@ def report_to_dict(report: ScanReport) -> dict:
     for result in report.results:
         cves = []
         for cve_id in sorted(result.cve_ids):
-            entry: dict = {"id": cve_id, "exploit": False}
+            entry: dict = {"id": cve_id, "exploit": cve_id in report.snapshot.exploited}
             record = report.snapshot.records.get(cve_id)
             if record is not None:
                 best = record.max_cvss()
                 if best is not None:
                     entry["cvss"] = best
-                entry["exploit"] = record.exploit_available
             cves.append(entry)
         doc = {
             "pvc": pvc_to_dict(result.pvc),

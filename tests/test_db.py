@@ -1,6 +1,7 @@
 """Feed ingestion, persistence, matching, and the generation-scoped cache."""
 
 import gc
+import json
 import sqlite3
 import sys
 import tempfile
@@ -61,13 +62,34 @@ def test_ingest_is_idempotent(tmp_path):
 
 
 def test_ingest_skips_idless_items(tmp_path, caplog):
-    items = [feed_item("CVE-2020-0001"), {"cve": {"description": {}}}]
+    bad_uri = feed_item("CVE-2020-0007")
+    bad_uri["configurations"]["nodes"] = [{"cpe_match": [{"vulnerable": True, "cpe23Uri": 5}]}]
+    items = [feed_item("CVE-2020-0001"), {"cve": {"description": {}}},
+             # malformed items: each value of the wrong type skips only its item
+             ["CVE-2020-0002"],
+             {"cve": "CVE-2020-0003"},
+             {**feed_item("CVE-2020-0004"), "impact": ["baseMetricV3"]},
+             {**feed_item("CVE-2020-0005"), "configurations": ["cpe:/a:acme:paint"]},
+             feed_item("CVE-2020-0006", cvss3="high"),
+             {**feed_item("CVE-2020-0008"),
+              "impact": {"baseMetricV2": {"cvssV2": {"baseScore": None}}}},
+             bad_uri]
     database = VulnDatabase(str(tmp_path / "db.sqlite"))
     path = write_feed(tmp_path / "feed.json", items)
     with caplog.at_level("WARNING"):
         database.update_sources([path])
     assert set(database.snapshot().records) == {"CVE-2020-0001"}
     assert any("lacks a usable CVE id" in m for m in caplog.messages)
+    for position in range(1, len(items)):
+        assert sum(f"feed {path} item {position} skipped" in m
+                   for m in caplog.messages) == 1
+    # a feed whose top level is not an object fails the whole update
+    top = tmp_path / "top.json"
+    top.write_text('[{"cve": {}}]', encoding="utf-8")
+    with pytest.raises(DbError, match="top.json"):
+        database.update_sources([write_feed(tmp_path / "f2.json", [feed_item("CVE-2020-0009")]),
+                                 str(top)])
+    assert database.record_count() == 1
 
 
 def test_ingest_accepts_cpe23_uris(tmp_path):
@@ -213,9 +235,9 @@ def test_exploit_flags_set(tmp_path):
         [feed_item("CVE-2017-0001"), feed_item("CVE-2017-0002")],
         exploits=[("EDB-1", "CVE-2017-0001")],
     )
-    records = database.snapshot().records
-    assert records["CVE-2017-0001"].exploit_available
-    assert not records["CVE-2017-0002"].exploit_available
+    exploited = database.snapshot().exploited
+    assert "CVE-2017-0001" in exploited
+    assert "CVE-2017-0002" not in exploited
 
 
 def test_exploit_links_to_unknown_cves_retained(tmp_path):
@@ -226,7 +248,7 @@ def test_exploit_links_to_unknown_cves_retained(tmp_path):
     # the CVE arrives later; the link must take effect then
     feed_path = write_feed(tmp_path / "f.json", [feed_item("CVE-2021-7777")])
     database.update_sources([feed_path], [], [])
-    assert database.snapshot().records["CVE-2021-7777"].exploit_available
+    assert "CVE-2021-7777" in database.snapshot().exploited
 
 
 def test_exploit_join_matches_brute_force_oracle(tmp_path, rng):
@@ -234,8 +256,7 @@ def test_exploit_join_matches_brute_force_oracle(tmp_path, rng):
     links = [(f"EDB-{i}", rng.choice(cve_ids + ["CVE-2019-9999"])) for i in range(25)]
     database = make_database(tmp_path, [feed_item(c) for c in cve_ids], exploits=links)
     expected = {cve for _, cve in links if cve in cve_ids}
-    records = database.snapshot().records
-    flagged = {c for c in cve_ids if records[c].exploit_available}
+    flagged = database.snapshot().exploited
     assert flagged == expected
 
 
@@ -247,7 +268,7 @@ def test_exploit_map_skips_malformed_rows(tmp_path, caplog):
                     encoding="utf-8")
     with caplog.at_level("WARNING"):
         database.update_sources([feed], exploit_paths=[str(path)])
-    assert database.snapshot().records["CVE-2020-0001"].exploit_available
+    assert "CVE-2020-0001" in database.snapshot().exploited
     # the header is skipped quietly; the two malformed rows are logged
     assert sum("skipping malformed exploit link" in m for m in caplog.messages) == 2
 
@@ -539,15 +560,17 @@ def test_snapshot_build_pauses_the_collector_then_restores_it(tmp_path, monkeypa
     assert "CVE-2020-0001" in database.snapshot().records
     assert seen == [False]
     assert gc.isenabled() is collector
-    # a build that raises: generation 2 wrote a score that is not JSON
-    conn = sqlite3.connect(str(tmp_path / "db.sqlite"))
-    with conn:
-        conn.execute("UPDATE cve SET cvss = 'not json', changed_generation = 2")
-        conn.execute("UPDATE meta SET value = '2' WHERE key = 'generation'")
-    conn.close()
-    with pytest.raises(ValueError):
-        database.snapshot()
-    assert gc.isenabled() is collector
+    # builds that raise: generation 2 wrote an applicability that is not a
+    # JSON list, then a score that is not JSON
+    for column, value in (("applicability", '{"cpe:/a:acme:paint": 1}'), ("cvss", "not json")):
+        conn = sqlite3.connect(str(tmp_path / "db.sqlite"))
+        with conn:
+            conn.execute(f"UPDATE cve SET {column} = ?, changed_generation = 2", (value,))
+            conn.execute("UPDATE meta SET value = '2' WHERE key = 'generation'")
+        conn.close()
+        with pytest.raises(ValueError):
+            database.snapshot()
+        assert gc.isenabled() is collector
 
 
 # -- schema upgrade and incremental snapshots ---------------------------------------
@@ -561,10 +584,17 @@ def test_open_upgrades_a_file_of_the_old_schema(tmp_path):
                           published TEXT, cvss TEXT NOT NULL DEFAULT '[]');
         CREATE TABLE cve_cpe (cve_id TEXT NOT NULL, uri TEXT NOT NULL,
                               UNIQUE (cve_id, uri));
+        CREATE TABLE exploit_link (exploit_id TEXT NOT NULL, cve_id TEXT NOT NULL,
+                                   UNIQUE (exploit_id, cve_id));
         INSERT INTO meta VALUES ('generation', '3');
         INSERT INTO cve VALUES ('CVE-2020-0001', 'synthetic record', '2020-01-02',
                                 '[["3.1", 9.8]]');
+        INSERT INTO cve VALUES ('CVE-2020-0002', '', NULL, '[]');
+        INSERT INTO cve VALUES ('CVE-2020-0003', '', NULL, '[]');
         INSERT INTO cve_cpe VALUES ('CVE-2020-0001', 'cpe:/a:adobe:reader');
+        INSERT INTO cve_cpe VALUES ('CVE-2020-0002', 'cpe:/a:acme:paint');
+        INSERT INTO cve_cpe VALUES ('CVE-2020-0002', 'cpe:/a:acme:brush');
+        INSERT INTO exploit_link VALUES ('EDB-1', 'CVE-2020-0002');
         CREATE TABLE cache (fingerprint TEXT PRIMARY KEY, generation INTEGER NOT NULL,
                             cve_ids TEXT NOT NULL, cpes TEXT NOT NULL);
     """)
@@ -578,9 +608,15 @@ def test_open_upgrades_a_file_of_the_old_schema(tmp_path):
     assert database.snapshot().generation == 3
     # the old cache table is gone, and its rows with it
     assert database.cache_lookup(_FINGERPRINT, 3) is None
-    assert database.snapshot().records == {"CVE-2020-0001": CveRecord(
-        id="CVE-2020-0001", cvss_scores=frozenset({("3.1", 9.8)}),
-        applicability=frozenset({split_cpe_uri("cpe:/a:adobe:reader")}))}
+    fresh = make_database(tmp_path, [
+        feed_item("CVE-2020-0001", cpes=["cpe:/a:adobe:reader"], cvss3=9.8),
+        feed_item("CVE-2020-0002", cpes=["cpe:/a:acme:paint", "cpe:/a:acme:brush"]),
+        feed_item("CVE-2020-0003")], exploits=[("EDB-1", "CVE-2020-0002")],
+        name="fresh").snapshot()
+    upgraded = database.snapshot()
+    assert upgraded.records == fresh.records
+    assert upgraded.exploited == fresh.exploited == {"CVE-2020-0002"}
+    assert _buckets(upgraded) == _buckets(fresh)
     # the upgraded file takes incremental updates
     feed = write_feed(tmp_path / "f.json", [feed_item("CVE-2020-0001", cvss3=5.0)])
     assert database.update_sources([feed]) == 4
@@ -591,15 +627,20 @@ def test_open_upgrades_a_file_of_the_old_schema(tmp_path):
     tables = {row[0] for row in conn.execute("SELECT name FROM sqlite_master WHERE type = 'table'")}
     indexes = {row[1] for row in conn.execute("PRAGMA index_list(cve)")}
     journal_mode = conn.execute("PRAGMA journal_mode").fetchone()
+    applicability = dict(conn.execute("SELECT id, applicability FROM cve"))
     conn.close()
-    assert columns == ["id", "cvss", "changed_generation"]
-    assert tables == {"meta", "cve", "cve_cpe", "cpe_dict", "exploit_link"}
+    assert columns == ["id", "cvss", "changed_generation", "applicability"]
+    assert tables == {"meta", "cve", "cpe_dict", "exploit_link"}
+    # each CVE's URIs moved into its row, sorted
+    assert {cve_id: json.loads(uris) for cve_id, uris in applicability.items()} == {
+        "CVE-2020-0001": [], "CVE-2020-0002": ["cpe:/a:acme:brush", "cpe:/a:acme:paint"],
+        "CVE-2020-0003": []}
     assert "cve_changed_generation" in indexes
     assert journal_mode == ("wal",)
 
 
 def test_first_build_scans_and_a_delta_build_seeks_through_the_index(tmp_path):
-    """The first snapshot reads every row, so it scans the tables; a delta
+    """The first snapshot reads every row, so it scans the table; a delta
     build finds the rows tagged after the previous generation through
     the changed_generation index."""
     database = make_database(tmp_path, [feed_item(f"CVE-2020-{n:04d}", cpes=[uri])
@@ -617,16 +658,16 @@ def test_first_build_scans_and_a_delta_build_seeks_through_the_index(tmp_path):
                 if statement.startswith("SELECT") and "FROM meta" not in statement}
 
     first = build_plans()
-    [cpe_read] = [plan for statement, plan in first.items() if "FROM cve_cpe" in statement]
     [cve_read] = [plan for statement, plan in first.items() if "SELECT id, cvss" in statement]
-    assert (cpe_read, cve_read) == (["SCAN cve_cpe"], ["SCAN cve"])
+    assert cve_read == ["SCAN cve"]
+    assert sum(plan.count("SCAN cve") for plan in first.values()) == 1
     assert not any("cve_changed_generation" in step
                    for plan in first.values() for step in plan)
     feed = write_feed(tmp_path / "f2.json", [feed_item("CVE-2020-0001", cvss3=9.8)])
     database.update_sources([feed])
     delta = build_plans()
-    # the applicability, score and exploit-link reads
-    assert len(delta) == 3
+    # the row and exploit-link reads
+    assert len(delta) == 2
     assert all(any("USING INDEX cve_changed_generation" in step for step in plan)
                for plan in delta.values())
     database.close()
@@ -644,7 +685,7 @@ def test_update_reuses_unchanged_records_and_logs_the_build(tmp_path, caplog):
         database.update_sources([feed], exploit_paths=[links])
         after = database.snapshot()
     assert after.gen_index is before.gen_index
-    assert after.records["CVE-2020-0001"].exploit_available
+    assert "CVE-2020-0001" in after.exploited
     assert after.records["CVE-2020-0002"].max_cvss() == 7.0
     [line] = [m for m in caplog.messages if m.startswith("snapshot")]
     assert "generation 2" in line and "1 records re-read" in line
@@ -653,7 +694,16 @@ def test_update_reuses_unchanged_records_and_logs_the_build(tmp_path, caplog):
     feed = write_feed(tmp_path / "f3.json", [feed_item("CVE-2020-0003")])
     database.update_sources([feed])
     # records no update touched are the same objects
-    assert database.snapshot().records["CVE-2020-0002"] is after.records["CVE-2020-0002"]
+    latest = database.snapshot()
+    assert latest.records["CVE-2020-0002"] is after.records["CVE-2020-0002"]
+    # an update of exploit links alone keeps every record object
+    links = write_exploit_map(tmp_path / "e4.csv", [("EDB-2", "CVE-2020-0002")])
+    database.update_sources(exploit_paths=[links])
+    exploit_only = database.snapshot()
+    assert exploit_only.exploited == {"CVE-2020-0001", "CVE-2020-0002"}
+    assert exploit_only.records.keys() == latest.records.keys()
+    assert all(exploit_only.records[cve_id] is record
+               for cve_id, record in latest.records.items())
 
 
 def test_update_builds_no_snapshot_and_logs_its_counts(tmp_path, caplog):
@@ -736,7 +786,8 @@ def test_open_drops_a_stored_applicability_uri_that_does_not_parse(tmp_path, cap
                                        cpes=["cpe:/a:zeta:ink", "cpe:/a::brush"])]).close()
     conn = sqlite3.connect(str(tmp_path / "db.sqlite"))
     with conn:
-        conn.execute("INSERT INTO cve_cpe VALUES ('CVE-2020-0001', 'cpe:/x:zeta:pen')")
+        conn.execute("UPDATE cve SET applicability = json_insert(applicability, '$[#]', "
+                     "'cpe:/x:zeta:pen') WHERE id = 'CVE-2020-0001'")
     conn.close()
     database = VulnDatabase(str(tmp_path / "db.sqlite"))
     with caplog.at_level("WARNING"):
@@ -832,9 +883,7 @@ def test_incremental_snapshot_equals_a_fresh_open(steps):
                 got = database.snapshot()
                 assert got.generation == expected.generation == serial
                 assert got.records == expected.records
-                assert got.exploited == expected.exploited == {
-                    cve_id for cve_id, record in got.records.items()
-                    if record.exploit_available}
+                assert got.exploited == expected.exploited <= got.records.keys()
                 assert got.gen_index == expected.gen_index
                 assert _buckets(got) == _buckets(expected)
                 for query in _QUERIES:

@@ -432,7 +432,7 @@ def test_summary_recomputable_from_results(tmp_path):
         score = record.max_cvss()
         if score is not None and (best is None or score > best):
             best = score
-        if record.exploit_available:
+        if cve_id in database.snapshot().exploited:
             exploitable += 1
     assert report.max_cvss == best
     assert report.exploit_count == exploitable
@@ -561,7 +561,7 @@ def test_report_reads_the_generation_it_was_scanned_on(tmp_path):
     links = write_exploit_map(tmp_path / "delta.csv", [("EDB-200", "CVE-2019-1001")])
     database.update_sources([delta], exploit_paths=[links])
     live = database.snapshot().records["CVE-2019-1001"]
-    assert live.max_cvss() == 9.9 and live.exploit_available
+    assert live.max_cvss() == 9.9 and "CVE-2019-1001" in database.snapshot().exploited
     doc = report_to_dict(report)
     entries = {c["id"]: c for c in doc["results"][0]["cves"]}
     assert entries == {

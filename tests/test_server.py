@@ -985,6 +985,6 @@ def test_run_update_globs_directory(tmp_path):
     database = VulnDatabase(str(tmp_path / "db.sqlite"))
     assert run_update(database, str(feeds_dir)) == 1
     snapshot = database.snapshot()
-    assert snapshot.records["CVE-2020-0001"].exploit_available is True
+    assert "CVE-2020-0001" in snapshot.exploited
     assert "paint" in snapshot.gen_index.known_products
     assert run_update(database, str(feeds_dir)) == 2
