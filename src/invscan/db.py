@@ -149,18 +149,34 @@ class DbSnapshot:
         of the candidates' expansion, found without expanding: as
         cpe_matches compares field by field, a stored field tuple matches
         when its part is a candidate platform and each other field is
-        unset on it, has no candidate set, or is in its set."""
-        allowed = (candidates.platforms, candidates.vendors, candidates.products,
-                   candidates.versions, *candidates.optional_sets())
-        # Candidate vendors and products are never unset: no other bucket can match.
-        buckets = [self.match_index.get(_WILDCARD, ())]
-        for pair in itertools.product(candidates.vendors, candidates.products):
-            buckets.append(self.match_index.get(pair, ()))
+        unset on it, has no candidate set, or is in its set.
+
+        Candidate vendors and products are never unset, so only the
+        wildcard bucket and the buckets keyed by a candidate (vendor,
+        product) pair can match. The wildcard bucket's tuples are tested
+        on every field. A keyed bucket's tuples carry its key, a
+        candidate pair, so only their part and version are tested, and
+        their optional fields only when the candidates carry optional
+        sets."""
+        platforms, versions = candidates.platforms, candidates.versions
+        optional = candidates.optional_sets()
+        allowed = (platforms, candidates.vendors, candidates.products, versions, *optional)
         found: set[str] = set()
-        for bucket in buckets:
-            for cve_id, fields in bucket:
-                if cve_id not in found and all(value is None or value in values
-                                               for value, values in zip(fields, allowed)):
+        for cve_id, fields in self.match_index.get(_WILDCARD, ()):
+            for value, values in zip(fields, allowed):
+                if value is not None and value not in values:
+                    break
+            else:
+                found.add(cve_id)
+        for pair in itertools.product(candidates.vendors, candidates.products):
+            for cve_id, fields in self.match_index.get(pair, ()):
+                if fields[0] not in platforms or (fields[3] is not None
+                                                  and fields[3] not in versions):
+                    continue
+                for value, values in zip(fields[4:], optional):
+                    if value is not None and value not in values:
+                        break
+                else:
                     found.add(cve_id)
         return found
 
@@ -183,12 +199,15 @@ def collector_paused():
 
 
 def _walk_nodes(nodes):
+    """The cpe_match entries of configuration nodes and of their children;
+    raises TypeError at a node or entry that is not an object."""
     for node in nodes:
         if not isinstance(node, dict):
-            continue
+            raise TypeError(f"a configuration node is a {type(node).__name__}, not an object")
         for entry in node.get("cpe_match", []):
-            if isinstance(entry, dict):
-                yield entry
+            if not isinstance(entry, dict):
+                raise TypeError(f"a cpe_match entry is a {type(entry).__name__}, not an object")
+            yield entry
         yield from _walk_nodes(node.get("children", []))
 
 
@@ -226,15 +245,19 @@ def canonical_applicability_uri(uri: str) -> str | None:
 
 
 def _extract_cvss(impact: dict) -> list[tuple[str, float]]:
+    """The (version, base score) pairs of an item's CVSS v3 and v2
+    metrics; raises ValueError at a score that is not a finite number in
+    0-10 (a bool, a string, NaN or an infinity)."""
     scores: list[tuple[str, float]] = []
-    metric_v3 = impact.get("baseMetricV3", {})
-    cvss_v3 = metric_v3.get("cvssV3", {})
-    if "baseScore" in cvss_v3:
-        scores.append((str(cvss_v3.get("version", "3.0")), float(cvss_v3["baseScore"])))
-    metric_v2 = impact.get("baseMetricV2", {})
-    cvss_v2 = metric_v2.get("cvssV2", {})
-    if "baseScore" in cvss_v2:
-        scores.append((str(cvss_v2.get("version", "2.0")), float(cvss_v2["baseScore"])))
+    for metric, key, default_version in (("baseMetricV3", "cvssV3", "3.0"),
+                                         ("baseMetricV2", "cvssV2", "2.0")):
+        cvss = impact.get(metric, {}).get(key, {})
+        if "baseScore" in cvss:
+            score = cvss["baseScore"]
+            if (isinstance(score, bool) or not isinstance(score, (int, float))
+                    or not 0 <= score <= 10):
+                raise ValueError(f"CVSS base score {score!r} is not a number in 0-10")
+            scores.append((str(cvss.get("version", default_version)), float(score)))
     return scores
 
 
@@ -449,7 +472,7 @@ class VulnDatabase:
                         stored[uri] = canonical_applicability_uri(uri)
                     if stored[uri] is not None:
                         uris.add(stored[uri])
-            except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+            except (AttributeError, TypeError, ValueError) as exc:
                 log.warning("feed %s item %d skipped: %s", path, position, exc)
                 continue
             rows[str(cve_id)] = (json.dumps(sorted(scores)), json.dumps(sorted(uris)))

@@ -135,13 +135,11 @@ def _nonversion_words(name: str) -> list[str]:
 
 
 def _joins(words) -> set[str]:
-    """Join words with each separator uniformly, normalized."""
-    out = set()
-    for sep in SEPARATORS:
-        token = normalize_component(sep.join(words))
-        if token:
-            out.add(token)
-    return out
+    """Join words with each separator uniformly, normalized, the empty
+    join dropped. The words come from str.split() and hold no
+    whitespace, nor does their lower case, so normalizing a join only
+    lowercases it and drops ':'."""
+    return {token for sep in SEPARATORS if (token := sep.join(words).lower().replace(":", ""))}
 
 
 def word_combinations(name: str) -> set[str]:
@@ -289,24 +287,23 @@ def app_vendor_candidates(pvc: Pvc) -> set[str]:
 
 
 def _subsequence_joins(words, cap: int = 8) -> set[str]:
-    """Separator joins of every order-preserving word subsequence.
+    """Separator joins of every order-preserving word subsequence, as
+    _joins gives them.
 
     Over-generates on purpose; callers screen the result against the
     product dictionary. Long names fall back to single words plus the
-    full join to keep the candidate count bounded.
+    full join to keep the candidate count bounded. The words hold no
+    whitespace, so all joins are normalized in one pass, as the lines of
+    one text: a newline is neither cased nor case-ignorable, so the
+    lower case of a Σ still depends only on its own line.
     """
-    out: set[str] = set()
-    if not words:
-        return out
     if len(words) > cap:
-        for word in words:
-            out |= _joins([word])
-        out |= _joins(words)
-        return out
-    for size in range(1, len(words) + 1):
-        for combo in itertools.combinations(words, size):
-            out |= _joins(combo)
-    return out
+        combos = [(word,) for word in words] + [words]
+    else:
+        combos = itertools.chain.from_iterable(
+            itertools.combinations(words, size) for size in range(1, len(words) + 1))
+    text = "\n".join([sep.join(combo) for combo in combos for sep in SEPARATORS])
+    return set(text.lower().replace(":", "").split("\n")) - {""}
 
 
 def app_product_candidates(pvc: Pvc, index: GenerationIndex) -> set[str]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import re
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from invscan.cpe import PARTS, CpeError, CpeName, cpe_matches, normalize_component, split_cpe_uri
 from invscan.db import VulnDatabase
-from invscan.generation import ComponentCandidates
+from invscan.generation import SEPARATORS, ComponentCandidates
 from invscan.protocol import ClientCredential
 
 
@@ -79,6 +80,26 @@ def seed_format_cpe_uri(name: CpeName) -> str:
     while components and components[-1] is None:
         components.pop()
     return f"cpe:/{name.part}" + "".join(":" + (c if c is not None else "") for c in components)
+
+
+def seed_joins(words) -> set[str]:
+    """_joins as it was before the joins were normalized directly
+    (normalize_component of each separator join), kept as its oracle."""
+    return {token for sep in SEPARATORS if (token := normalize_component(sep.join(words)))}
+
+
+def seed_subsequence_joins(words, cap: int = 8) -> set[str]:
+    """_subsequence_joins as it was before the one-pass normalization
+    (seed_joins of each word combination), its oracle."""
+    out: set[str] = set()
+    if len(words) > cap:
+        for word in words:
+            out |= seed_joins([word])
+        return out | seed_joins(words)
+    for size in range(1, len(words) + 1):
+        for combo in itertools.combinations(words, size):
+            out |= seed_joins(combo)
+    return out
 
 
 # Every character str.isspace() holds.

@@ -64,6 +64,10 @@ def test_ingest_is_idempotent(tmp_path):
 def test_ingest_skips_idless_items(tmp_path, caplog):
     bad_uri = feed_item("CVE-2020-0007")
     bad_uri["configurations"]["nodes"] = [{"cpe_match": [{"vulnerable": True, "cpe23Uri": 5}]}]
+    uri_text = feed_item("CVE-2020-0012")
+    uri_text["configurations"]["nodes"] = [{"cpe_match": ["cpe:/a:acme:paint"]}]
+    child_text = feed_item("CVE-2020-0014")
+    child_text["configurations"]["nodes"] = [{"operator": "AND", "children": ["x"]}]
     items = [feed_item("CVE-2020-0001"), {"cve": {"description": {}}},
              # malformed items: each value of the wrong type skips only its item
              ["CVE-2020-0002"],
@@ -73,23 +77,42 @@ def test_ingest_skips_idless_items(tmp_path, caplog):
              feed_item("CVE-2020-0006", cvss3="high"),
              {**feed_item("CVE-2020-0008"),
               "impact": {"baseMetricV2": {"cvssV2": {"baseScore": None}}}},
-             bad_uri]
+             bad_uri,
+             # a configuration node, child or cpe_match entry that is not an object
+             uri_text,
+             {**feed_item("CVE-2020-0013"), "configurations": {"nodes": [1]}},
+             child_text,
+             # a score that is not a finite number in 0-10; the last is replaced
+             # by the literal 1e309 below, which json reads as an infinity
+             feed_item("CVE-2020-0015", cvss3="NaN"),
+             feed_item("CVE-2020-0016", cvss2=-5),
+             feed_item("CVE-2020-0017", cvss3=True),
+             feed_item("CVE-2020-0018", cvss2=float("nan")),
+             feed_item("CVE-2020-0019", cvss3=10.5),
+             feed_item("CVE-2020-0020", cvss3="1e309")]
+    kept = [feed_item("CVE-2020-0021", cvss3=0), feed_item("CVE-2020-0022", cvss2=10)]
     database = VulnDatabase(str(tmp_path / "db.sqlite"))
-    path = write_feed(tmp_path / "feed.json", items)
+    path = write_feed(tmp_path / "feed.json", items + kept)
+    text = Path(path).read_text(encoding="utf-8")
+    assert "NaN" in text.replace('"NaN"', "")  # the JSON NaN token
+    Path(path).write_text(text.replace('"1e309"', "1e309"), encoding="utf-8")
     with caplog.at_level("WARNING"):
         database.update_sources([path])
-    assert set(database.snapshot().records) == {"CVE-2020-0001"}
+    records = database.snapshot().records
+    assert set(records) == {"CVE-2020-0001", "CVE-2020-0021", "CVE-2020-0022"}
+    assert records["CVE-2020-0021"].cvss_scores == {("3.1", 0.0)}
+    assert records["CVE-2020-0022"].cvss_scores == {("2.0", 10.0)}
     assert any("lacks a usable CVE id" in m for m in caplog.messages)
-    for position in range(1, len(items)):
+    for position in range(1, len(items) + len(kept)):
         assert sum(f"feed {path} item {position} skipped" in m
-                   for m in caplog.messages) == 1
+                   for m in caplog.messages) == (position < len(items))
     # a feed whose top level is not an object fails the whole update
     top = tmp_path / "top.json"
     top.write_text('[{"cve": {}}]', encoding="utf-8")
     with pytest.raises(DbError, match="top.json"):
         database.update_sources([write_feed(tmp_path / "f2.json", [feed_item("CVE-2020-0009")]),
                                  str(top)])
-    assert database.record_count() == 1
+    assert database.record_count() == 3
 
 
 def test_ingest_accepts_cpe23_uris(tmp_path):
@@ -303,6 +326,41 @@ def test_wildcard_applicability_reaches_every_query(tmp_path):
         one_name("cpe:/o:microsoft:windows_10:10")) == {"CVE-2020-0001"}
     assert database.snapshot().match_cpes_to_cves(
         one_name("cpe:/a:adobe:reader:9.0")) == set()
+
+
+def _sets(*fields: str) -> ComponentCandidates:
+    """Candidate sets from space-separated members, platforms first."""
+    return ComponentCandidates(*(frozenset(members.split()) for members in fields))
+
+
+@pytest.mark.parametrize("stored, candidates, expected", [
+    pytest.param([["cpe:/a:acme:paint:1"]], _sets("o h", "acme", "paint", "1"), set(),
+                 id="part-not-a-candidate-platform"),
+    pytest.param([["cpe:/a:acme:paint"], ["cpe:/a:acme:paint:1"]],
+                 _sets("a", "acme", "paint", "2"), {"CVE-2020-0001"},
+                 id="no-version-matches-any-version"),
+    pytest.param([["cpe:/a:acme:paint:1:u1"], ["cpe:/a:acme:paint:1::e1"],
+                  ["cpe:/a:acme:paint:1:::en"]], _sets("a", "acme", "paint", "1"),
+                 {"CVE-2020-0001", "CVE-2020-0002", "CVE-2020-0003"},
+                 id="stored-optional-fields-without-candidate-sets"),
+    pytest.param([["cpe:/a:acme:paint:1:u1:e1"], ["cpe:/a:acme:paint:1:u2"]],
+                 _sets("a", "acme", "paint", "1", "u1"), {"CVE-2020-0001"},
+                 id="updates-checked-editions-not"),
+    pytest.param([["cpe:/a:acme:paint:1", "cpe:/a:acme:paint"]],
+                 _sets("a", "acme", "paint", "1"), {"CVE-2020-0001"},
+                 id="two-names-of-one-cve-in-one-bucket"),
+])
+def test_keyed_bucket_tests_only_the_fields_its_key_leaves_open(tmp_path, stored, candidates,
+                                                                expected):
+    items = [feed_item(f"CVE-2020-{position:04d}", cpes=uris)
+             for position, uris in enumerate(stored, start=1)]
+    database = make_database(tmp_path, items)
+    snapshot = database.snapshot()
+    database.close()
+    assert set(snapshot.match_index) == {("acme", "paint")}
+    assert len(snapshot.match_index["acme", "paint"]) == sum(map(len, stored))
+    assert (snapshot.match_cpes_to_cves(candidates) == expected
+            == brute_force_match(snapshot.records, cartesian_expand(candidates)))
 
 
 # Applicability names: unset vendor or product puts a name in the wildcard

@@ -1,10 +1,13 @@
 """Candidate generation heuristics and the cartesian expansion."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from invscan import generation
 from invscan.cpe import CpeName, format_cpe_fields, split_cpe_uri
-from invscan.generation import (ComponentCandidates, GenerationIndex,
+from invscan.generation import (ComponentCandidates, GenerationIndex, _subsequence_joins,
                                 abbreviate_name, app_product_candidates,
                                 app_vendor_candidates, app_version_candidates,
                                 build_index_from_fields, cartesian_expand,
@@ -13,6 +16,7 @@ from invscan.generation import (ComponentCandidates, GenerationIndex,
                                 os_update_candidates, os_vendor_candidates,
                                 os_version_candidates, word_combinations)
 from invscan.inventory import InventoryError, Pvc, PvcKind, pvc_from_dict
+from conftest import seed_joins, seed_subsequence_joins
 
 
 def _index(*uris) -> GenerationIndex:
@@ -365,6 +369,38 @@ def test_generate_never_empty_even_without_index():
     # vendor falls back through known vendors to the name itself
     names = generate_cpes(os_pvc("mysteryos"), GenerationIndex())
     assert names
+
+
+# Words whose normal form needs more than ASCII lowering: ':' (stripped),
+# upper case, Σ (lowered by its context), ς and σ, İ (lowered to two
+# characters), ß and Ǆ; digits and '.' make version words.
+_join_word = st.text(alphabet="aZ09.:ΣςσİßǄ", min_size=1, max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(words=st.lists(_join_word, max_size=10), gap=st.sampled_from([" ", "  ", "\t"]),
+       data=st.data())
+def test_joins_equal_the_per_join_oracle(words, gap, data):
+    """The joins, normalized in one pass, equal normalize_component of
+    each join, and so does every candidate set built from them."""
+    name = gap.join(words)
+    assert _subsequence_joins(words) == seed_subsequence_joins(words)
+    try:
+        pvc = app_pvc(name)
+    except InventoryError:  # a name with no usable characters
+        pvc = None
+    product_joins = seed_subsequence_joins(generation._nonversion_words(name))
+    index = GenerationIndex(known_products=frozenset(
+        data.draw(st.sets(st.sampled_from(sorted(product_joins)))) if product_joins else ()))
+
+    def candidates():
+        return (word_combinations(name),
+                pvc and app_vendor_candidates(pvc), pvc and app_product_candidates(pvc, index))
+
+    got = candidates()
+    with mock.patch.object(generation, "_joins", seed_joins), \
+            mock.patch.object(generation, "_subsequence_joins", seed_subsequence_joins):
+        assert got == candidates()
 
 
 # Names mix word characters with whitespace and ':', which normalization
