@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import sys
 
@@ -9,7 +10,7 @@ import click
 
 from . import client as client_mod
 from . import server as server_mod
-from .db import VulnDatabase
+from .db import DbError, VulnDatabase
 
 
 def _setup_logging(verbose: bool) -> None:
@@ -44,7 +45,10 @@ def serve(port: int | None, config_path: str, host: str) -> None:
     config = server_mod.load_config(config_path)
     if port is not None:
         config.port = port
-    database = VulnDatabase(config.db_path)
+    try:
+        database = VulnDatabase(config.db_path)
+    except DbError as exc:
+        raise click.ClickException(str(exc)) from exc
     app = server_mod.VulnServer(config, database)
     if not app.credentials:
         click.echo("warning: no clients provisioned; every request will be dropped",
@@ -60,10 +64,13 @@ def serve(port: int | None, config_path: str, host: str) -> None:
 def update(feeds_dir: str, config_path: str) -> None:
     """Ingest feed files and advance the database generation."""
     config = server_mod.load_config(config_path)
-    database = VulnDatabase(config.db_path)
-    generation = server_mod.run_update(database, feeds_dir)
-    click.echo(f"database updated; generation {generation}, "
-               f"{database.record_count()} CVE records")
+    try:
+        with contextlib.closing(VulnDatabase(config.db_path)) as database:
+            generation = server_mod.run_update(database, feeds_dir)
+            records = database.record_count()
+    except DbError as exc:
+        raise click.ClickException(str(exc)) from exc
+    click.echo(f"database updated; generation {generation}, {records} CVE records")
 
 
 @server.group("client")

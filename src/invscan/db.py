@@ -23,10 +23,13 @@ object and, unless a dictionary arrived since, the generation index,
 and rebuilds only the match-index buckets the re-read records left or
 entered.
 
-The scan cache lives in memory, in the live snapshot: a new generation
-starts it empty, and so does a restart. It holds at most
-CACHE_MAX_ENTRIES results, dropping the oldest first. Nothing about it
-touches the file.
+A file lacking a column the code reads is refused, unchanged, with
+DbError: the store derives from the feeds, so a new file rebuilds it.
+
+The scan cache lives in memory, one per snapshot: a job reads and fills
+the cache of the snapshot it pinned, so a new generation starts with an
+empty one, and so does a restart. Each holds at most CACHE_MAX_ENTRIES
+results, dropping the oldest first. Nothing about it touches the file.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ log = logging.getLogger(__name__)
 
 CVE_ID_RE = re.compile(r"CVE-\d{4}-\d{4,}")
 
-# Scan results the live snapshot keeps; past this the oldest are dropped.
+# Scan results each snapshot keeps; past this the oldest are dropped.
 CACHE_MAX_ENTRIES = 50_000
 
 # The CVE rows a snapshot build reads. The first build reads every row, so
@@ -59,7 +62,9 @@ CACHE_MAX_ENTRIES = 50_000
 _FIRST_BUILD_READ = "SELECT id, cvss, applicability FROM cve"
 _DELTA_BUILD_READ = _FIRST_BUILD_READ + " WHERE changed_generation > ?"
 
+# One transaction: another process opening the new file finds all or none.
 _SCHEMA = """
+BEGIN IMMEDIATE;
 CREATE TABLE IF NOT EXISTS meta (
     key TEXT PRIMARY KEY,
     value TEXT NOT NULL
@@ -81,12 +86,19 @@ CREATE TABLE IF NOT EXISTS exploit_link (
     cve_id TEXT NOT NULL,
     UNIQUE (exploit_id, cve_id)
 );
+CREATE INDEX IF NOT EXISTS cve_changed_generation ON cve (changed_generation);
+INSERT OR IGNORE INTO meta (key, value) VALUES ('generation', '0');
+COMMIT;
 """
+
+_LAYOUT_CHECK = ("SELECT m.key, m.value, c.id, c.cvss, c.changed_generation, c.applicability, "
+                 "d.uri, d.part, d.vendor, d.product, e.exploit_id, e.cve_id "
+                 "FROM meta m, cve c, cpe_dict d, exploit_link e LIMIT 0")
 
 
 class DbError(Exception):
-    """Raised for database misuse (a malformed CVE id) and for a feed file
-    that is not an object holding a CVE_Items list."""
+    """Raised for database misuse (a malformed CVE id), a feed file that
+    is not an object holding a CVE_Items list, or a file of another layout."""
 
 
 @dataclass(frozen=True)
@@ -273,50 +285,21 @@ class VulnDatabase:
         self._lock = threading.RLock()
         self._cache_lock = threading.Lock()
         self._conn = sqlite3.connect(path, check_same_thread=False)
+        # A file with no tables is new; any other must hold every column the
+        # code reads, or it is refused before anything is written to it.
+        try:
+            new = self._conn.execute(
+                "SELECT count(*) FROM sqlite_master WHERE type = 'table'").fetchone() == (0,)
+            if not new:
+                self._conn.execute(_LAYOUT_CHECK)
+        except sqlite3.DatabaseError as exc:
+            self._conn.close()
+            raise DbError(f"{path} does not hold the file layout this version reads ({exc}); "
+                          "ingest the feeds into a new file") from exc
         # Readers see the last commit while a writer works; synchronous stays FULL.
         self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.executescript(_SCHEMA)
-        with self._conn:
-            self._conn.execute("BEGIN IMMEDIATE")
-            columns = {row[1] for row in self._conn.execute("PRAGMA table_info(cve)")}
-            # A file written before rows were tagged: every row counts as
-            # unchanged since generation 0, and the columns nothing reads go.
-            if "changed_generation" not in columns:
-                self._conn.execute("ALTER TABLE cve ADD COLUMN "
-                                   "changed_generation INTEGER NOT NULL DEFAULT 0")
-            self._conn.execute("CREATE INDEX IF NOT EXISTS cve_changed_generation "
-                               "ON cve (changed_generation)")
-            for legacy in sorted(columns & {"description", "published"}):
-                self._conn.execute(f"ALTER TABLE cve DROP COLUMN {legacy}")
-            # A file whose cve rows lack applicability kept it in a cve_cpe
-            # side table: each CVE's URIs move into its row, sorted.
-            if "applicability" not in columns:
-                self._conn.execute("ALTER TABLE cve ADD COLUMN "
-                                   "applicability TEXT NOT NULL DEFAULT '[]'")
-                self._conn.execute(
-                    "UPDATE cve SET applicability = (SELECT json_group_array(uri) FROM "
-                    "(SELECT uri FROM cve_cpe WHERE cve_id = cve.id ORDER BY uri))")
-                self._conn.execute("DROP TABLE cve_cpe")
-            # A file from when the scan cache was a table.
-            self._conn.execute("DROP TABLE IF EXISTS cache")
-            # A file whose dictionary rows carry only the URI: the fields
-            # the generation index reads are parsed once, here. A row
-            # that does not parse keeps them unset, and open drops it.
-            if "part" not in {row[1] for row in self._conn.execute("PRAGMA table_info(cpe_dict)")}:
-                for column in ("part", "vendor", "product"):
-                    self._conn.execute(f"ALTER TABLE cpe_dict ADD COLUMN {column} TEXT")
-                rows = []
-                for (uri,) in self._conn.execute("SELECT uri FROM cpe_dict").fetchall():
-                    try:
-                        part, vendor, product, *_ = split_cpe_uri(uri)
-                    except CpeError:
-                        continue
-                    rows.append((part, vendor, product, uri))
-                self._conn.executemany(
-                    "UPDATE cpe_dict SET part = ?, vendor = ?, product = ? WHERE uri = ?", rows)
-            self._conn.execute(
-                "INSERT OR IGNORE INTO meta (key, value) VALUES ('generation', '0')"
-            )
+        if new:
+            self._conn.executescript(_SCHEMA)
         self._snapshot = DbSnapshot(generation=-1, records={}, match_index={},
                                     gen_index=build_index_from_fields(()))
 
@@ -552,8 +535,10 @@ class VulnDatabase:
                     if exploit_paths:
                         self._write_meta("exploit_generation", new_generation)
                     self._write_meta("generation", new_generation)
-            except Exception:
-                log.exception("update failed; generation unchanged")
+            except Exception as exc:
+                # A DbError says what is wrong; only other failures need a traceback.
+                log.error("update failed; generation unchanged: %s", exc,
+                          exc_info=not isinstance(exc, DbError))
                 raise
             log.info("update to generation %d written in %.1f ms: %d CVE rows, "
                      "%d dictionary rows, %d exploit links", new_generation,
@@ -562,29 +547,15 @@ class VulnDatabase:
 
     # -- cache ------------------------------------------------------------
 
-    def cache_lookup(self, fingerprint: bytes, generation: int) -> frozenset[str] | None:
-        """Ids stored for the fingerprint under the given generation (the
-        caller's pinned one), or None; a generation other than the live
-        snapshot's always misses."""
-        snapshot = self._snapshot
-        if snapshot.generation != generation:
-            return None
+    def cache_lookup(self, snapshot: DbSnapshot, fingerprint: bytes) -> frozenset[str] | None:
+        """Ids stored for the fingerprint in the snapshot's cache, or None."""
         ids = snapshot.cache.get(fingerprint)
         return None if ids is None else frozenset(ids)
 
-    def cache_store(self, generation: int,
+    def cache_store(self, snapshot: DbSnapshot,
                     misses: list[tuple[bytes, frozenset[str]]]) -> None:
-        """Keep a batch of (fingerprint, ids) scanned on the given
-        generation, then drop the oldest entries past CACHE_MAX_ENTRIES.
-        A batch of a generation the live snapshot has left is skipped
-        with one INFO line."""
-        if not misses:
-            return
-        snapshot = self._snapshot
-        if snapshot.generation != generation:
-            log.info("generation moved from %d to %d during the scan; "
-                     "%d results not cached", generation, snapshot.generation, len(misses))
-            return
+        """Keep a batch of (fingerprint, ids) scanned on the snapshot in its
+        cache, then drop the oldest entries past CACHE_MAX_ENTRIES."""
         cache = snapshot.cache
         with self._cache_lock:
             cache.update((fingerprint, tuple(ids)) for fingerprint, ids in misses)

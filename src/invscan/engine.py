@@ -2,12 +2,11 @@
 
 A job walks its inventory in order against the database snapshot pinned
 at job start, so a concurrent update cannot tear its results; one
-component failing never aborts its siblings. The job's cache misses are
-handed to the database together at the end, which keeps them in the
-daemon's memory while the snapshot's generation is still the live one,
-and skips them once an update has moved on. The report keeps the pinned
-snapshot, so its serialized scores and exploit flags come from the same
-generation as its results and summary.
+component failing never aborts its siblings. The job reads the pinned
+snapshot's cache and stores its misses there together at the end, where
+only jobs pinned to that same generation read them. The report keeps the
+pinned snapshot, so its serialized scores and exploit flags come from
+the same generation as its results and summary.
 """
 
 from __future__ import annotations
@@ -73,13 +72,9 @@ class ScanJob:
 def _scan(pvc: Pvc, database: VulnDatabase, snapshot: DbSnapshot
           ) -> tuple[PvcScanResult, tuple[bytes, frozenset[str]] | None]:
     """Scan one component against the snapshot; returns the result and,
-    on a cache miss, the fingerprint and ids to cache.
-
-    A cached result counts only when it was stored under the snapshot's
-    own generation.
-    """
+    on a cache miss, the fingerprint and ids to cache."""
     fingerprint = fingerprint_pvc(pvc)
-    cached = database.cache_lookup(fingerprint, snapshot.generation)
+    cached = database.cache_lookup(snapshot, fingerprint)
     if cached is not None:
         return PvcScanResult(pvc=pvc, cve_ids=cached, cache_hit=True), None
     candidates = generate_cpes(pvc, snapshot.gen_index)
@@ -99,13 +94,13 @@ def scan_pvc(pvc: Pvc, database: VulnDatabase) -> PvcScanResult:
     """Scan one component against the current database snapshot.
 
     Cache hits return the stored ids without regenerating or matching;
-    misses do the full generate/match pass and store the outcome under
-    the snapshot's generation.
+    misses do the full generate/match pass and store the outcome in the
+    snapshot's cache.
     """
     snapshot = _pin_snapshot(database)
     result, miss = _scan(pvc, database, snapshot)
     if miss is not None:
-        database.cache_store(snapshot.generation, [miss])
+        database.cache_store(snapshot, [miss])
     return result
 
 
@@ -145,7 +140,7 @@ def execute_job(job: ScanJob, database: VulnDatabase) -> ScanReport:
         results.append(result)
         if miss is not None:
             misses.append(miss)
-    database.cache_store(snapshot.generation, misses)
+    database.cache_store(snapshot, misses)
     total, max_cvss, exploit_count = _summarize(results, snapshot)
     return ScanReport(
         token=job.token,

@@ -23,10 +23,12 @@ import gc
 import ipaddress
 import json
 import logging
+import os
 import pathlib
 import queue
 import secrets
 import socketserver
+import tempfile
 import threading
 import time
 from dataclasses import dataclass
@@ -171,7 +173,9 @@ def load_credentials(path: str) -> dict[str, ClientCredential]:
 
 
 def add_credential(path: str, client_id: str) -> tuple[str, str]:
-    """Provision a new client in the credential file; returns (secret, salt-hex)."""
+    """Provision a new client in the credential file; returns (secret, salt-hex).
+    The file is replaced by a sibling only its owner can read, written in
+    full first, so the secrets are never world-readable or truncated."""
     file_path = pathlib.Path(path)
     doc = {}
     if file_path.exists():
@@ -182,7 +186,16 @@ def add_credential(path: str, client_id: str) -> tuple[str, str]:
     salt = secrets.token_hex(16)
     doc[client_id] = {"secret": secret, "salt": salt}
     file_path.parent.mkdir(parents=True, exist_ok=True)
-    file_path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    fd, temp = tempfile.mkstemp(dir=file_path.parent, prefix=f".{file_path.name}.")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(doc, indent=2) + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(temp, file_path)
+    except BaseException:
+        os.unlink(temp)
+        raise
     return secret, salt
 
 

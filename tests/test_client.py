@@ -2,11 +2,13 @@
 
 import io
 import json
+import sqlite3
 import time
 
 import pytest
 from click.testing import CliRunner
 
+from invscan import server as server_module
 from invscan.cli import main as cli_main
 from invscan.client import (EXIT_MITM, EXIT_OK, EXIT_POLL_LIMIT,
                             EXIT_REJECTED, EXIT_THRESHOLD, EXIT_TIMEOUT,
@@ -417,3 +419,50 @@ def test_cli_update_builds_no_snapshot(tmp_path, caplog):
     assert "generation 1, 1 CVE records" in result.output
     # neither opening the file nor the update builds a snapshot
     assert not [m for m in caplog.messages if m.startswith("snapshot of generation")]
+    # a second update opens the file the first one wrote
+    again = CliRunner().invoke(cli_main, [
+        "server", "update", "--feeds", str(feeds), "--config", str(config_path)])
+    assert again.exit_code == 0, again.output
+    assert "generation 2, 1 CVE records" in again.output
+
+
+def _refused(result, path, caplog):
+    """The command exited 1 with one line naming the path, and nothing
+    logged or printed a traceback."""
+    assert result.exit_code == 1
+    last = result.output.splitlines()[-1]
+    assert last.startswith("Error: ") and str(path) in last
+    assert "Traceback" not in result.output
+    assert not any(record.exc_info for record in caplog.records)
+
+
+@pytest.mark.parametrize("command", ["serve", "update"])
+def test_cli_refuses_a_file_of_an_old_layout_in_one_line(tmp_path, caplog, monkeypatch,
+                                                         command):
+    monkeypatch.setattr(server_module, "serve_forever",
+                        lambda *args, **kwargs: pytest.fail("served an old-layout file"))
+    db_path = tmp_path / "invscan.db"
+    conn = sqlite3.connect(db_path)
+    with conn:
+        conn.execute("CREATE TABLE cpe_dict (uri TEXT PRIMARY KEY)")
+    conn.close()
+    config_path = tmp_path / "server.json"
+    config_path.write_text(json.dumps({"db_path": str(db_path)}), encoding="utf-8")
+    args = ["--feeds", str(tmp_path)] if command == "update" else []
+    result = CliRunner().invoke(cli_main, ["server", command, "--config", str(config_path),
+                                           *args])
+    _refused(result, db_path, caplog)
+    assert "ingest the feeds into a new file" in result.output
+
+
+def test_cli_update_of_a_feed_that_is_not_an_object_fails_in_one_line(tmp_path, caplog):
+    feeds = tmp_path / "feeds"
+    feeds.mkdir()
+    (feeds / "nvd.json").write_text('[{"cve": {}}]', encoding="utf-8")
+    config_path = tmp_path / "server.json"
+    config_path.write_text(json.dumps({"db_path": str(tmp_path / "invscan.db")}),
+                           encoding="utf-8")
+    result = CliRunner().invoke(cli_main, [
+        "server", "update", "--feeds", str(feeds), "--config", str(config_path)])
+    _refused(result, feeds / "nvd.json", caplog)
+    assert "not an object holding a CVE_Items list" in result.output

@@ -1,7 +1,6 @@
-"""Feed ingestion, persistence, matching, and the generation-scoped cache."""
+"""Feed ingestion, persistence, matching, and the per-snapshot cache."""
 
 import gc
-import json
 import sqlite3
 import sys
 import tempfile
@@ -411,62 +410,64 @@ _IDS_CACHED = frozenset({"CVE-2020-0001"})
 
 def test_cache_store_then_lookup(tmp_path):
     database = make_database(tmp_path, [feed_item("CVE-2020-0001")])
-    generation = database.snapshot().generation
-    database.cache_store(generation, [(_FINGERPRINT, _IDS_CACHED)])
-    assert database.cache_lookup(_FINGERPRINT, generation) == _IDS_CACHED
+    snapshot = database.snapshot()
+    database.cache_store(snapshot, [(_FINGERPRINT, _IDS_CACHED)])
+    assert database.cache_lookup(snapshot, _FINGERPRINT) == _IDS_CACHED
 
 
 def test_cache_unknown_fingerprint(tmp_path):
     database = make_database(tmp_path, [feed_item("CVE-2020-0001")])
-    assert database.cache_lookup(b"\xff" * 32, database.snapshot().generation) is None
+    assert database.cache_lookup(database.snapshot(), b"\xff" * 32) is None
 
 
 def test_cache_invalidated_by_generation_bump(tmp_path):
     database = make_database(tmp_path, [feed_item("CVE-2020-0001")])
-    assert database.snapshot().generation == 1
-    database.cache_store(1, [(_FINGERPRINT, _IDS_CACHED)])
+    pinned = database.snapshot()
+    assert pinned.generation == 1
+    database.cache_store(pinned, [(_FINGERPRINT, _IDS_CACHED)])
     database.update_sources()
-    assert database.snapshot().generation == 2
-    assert database.cache_lookup(_FINGERPRINT, 2) is None
-    # a job pinned to the old generation misses too: its cache went with it
-    assert database.cache_lookup(_FINGERPRINT, 1) is None
+    snapshot = database.snapshot()
+    assert snapshot.generation == 2
+    assert database.cache_lookup(snapshot, _FINGERPRINT) is None
 
 
-def test_cache_store_skips_stale_generation(tmp_path, caplog):
+def test_cache_store_into_a_superseded_snapshot_lands_only_there(tmp_path):
     database = make_database(tmp_path, [feed_item("CVE-2020-0001")])
+    pinned = database.snapshot()
     database.update_sources()
-    assert database.snapshot().generation == 2
-    with caplog.at_level("INFO", logger="invscan.db"):
-        database.cache_store(1, [(_FINGERPRINT, _IDS_CACHED)])
-    assert database.cache_lookup(_FINGERPRINT, 1) is None
-    assert database.cache_lookup(_FINGERPRINT, 2) is None
-    assert any("results not cached" in m for m in caplog.messages)
+    live = database.snapshot()
+    assert live.generation == 2
+    # a job pinned to generation 1 finishes after the update
+    database.cache_store(pinned, [(_FINGERPRINT, _IDS_CACHED)])
+    assert database.cache_lookup(pinned, _FINGERPRINT) == _IDS_CACHED
+    assert database.cache_lookup(live, _FINGERPRINT) is None
+    assert database.snapshot() is live and live.cache == {}
 
 
 def test_cache_keeps_the_newest_entries_up_to_its_cap(tmp_path, monkeypatch):
     monkeypatch.setattr(db, "CACHE_MAX_ENTRIES", 3)
     database = make_database(tmp_path, [feed_item("CVE-2020-0001")])
-    generation = database.snapshot().generation
+    snapshot = database.snapshot()
     fingerprints = [bytes([n]) * 32 for n in range(5)]
-    database.cache_store(generation, [(fingerprints[0], _IDS_CACHED)])
-    database.cache_store(generation, [(fp, frozenset()) for fp in fingerprints[1:]])
-    assert database.cache_lookup(fingerprints[0], generation) is None
-    assert database.cache_lookup(fingerprints[1], generation) is None
-    assert [database.cache_lookup(fp, generation) for fp in fingerprints[2:]] == [frozenset()] * 3
+    database.cache_store(snapshot, [(fingerprints[0], _IDS_CACHED)])
+    database.cache_store(snapshot, [(fp, frozenset()) for fp in fingerprints[1:]])
+    assert database.cache_lookup(snapshot, fingerprints[0]) is None
+    assert database.cache_lookup(snapshot, fingerprints[1]) is None
+    assert [database.cache_lookup(snapshot, fp) for fp in fingerprints[2:]] == [frozenset()] * 3
 
 
 def test_concurrent_stores_keep_the_cap_and_every_entry_whole(tmp_path, monkeypatch):
     monkeypatch.setattr(db, "CACHE_MAX_ENTRIES", 50)
     database = make_database(tmp_path, [feed_item("CVE-2020-0001")])
-    generation = database.snapshot().generation
+    snapshot = database.snapshot()
     errors = []
 
     def store(worker):
         try:
             for batch in range(300):
                 fingerprints = [f"{worker}-{batch}-{k}".encode() for k in range(3)]
-                database.cache_store(generation, [(fp, frozenset({fp})) for fp in fingerprints])
-                database.cache_lookup(fingerprints[0], generation)
+                database.cache_store(snapshot, [(fp, frozenset({fp})) for fp in fingerprints])
+                database.cache_lookup(snapshot, fingerprints[0])
         except Exception as exc:
             errors.append(exc)
 
@@ -484,22 +485,22 @@ def test_concurrent_stores_keep_the_cap_and_every_entry_whole(tmp_path, monkeypa
     assert errors == []
     cache = database.snapshot().cache
     assert len(cache) == 50
-    assert all(database.cache_lookup(fingerprint, generation) == {fingerprint}
+    assert all(database.cache_lookup(snapshot, fingerprint) == {fingerprint}
                for fingerprint in cache)
 
 
 def test_cached_ids_are_not_tracked_by_the_collector(tmp_path):
     database = make_database(tmp_path, [feed_item("CVE-2020-0001")])
-    generation = database.snapshot().generation
-    database.cache_store(generation, [(bytes([n]) * 32, frozenset({"CVE-2020-0001",
-                                                                  f"CVE-2020-{n + 2:04d}"}))
-                                      for n in range(10)] + [(b"\xff" * 32, frozenset())])
+    snapshot = database.snapshot()
+    database.cache_store(snapshot, [(bytes([n]) * 32, frozenset({"CVE-2020-0001",
+                                                                f"CVE-2020-{n + 2:04d}"}))
+                                    for n in range(10)] + [(b"\xff" * 32, frozenset())])
     gc.collect()
     cache = database.snapshot().cache
     assert len(cache) == 11
     assert not any(map(gc.is_tracked, cache.values()))
-    assert database.cache_lookup(bytes([3]) * 32, generation) == {"CVE-2020-0001",
-                                                                   "CVE-2020-0005"}
+    assert database.cache_lookup(snapshot, bytes([3]) * 32) == {"CVE-2020-0001",
+                                                                 "CVE-2020-0005"}
 
 
 def test_update_through_another_connection_is_seen(tmp_path):
@@ -511,20 +512,19 @@ def test_update_through_another_connection_is_seen(tmp_path):
     updater = VulnDatabase(str(tmp_path / "db.sqlite"))
     feed = write_feed(tmp_path / "f2.json", [feed_item("CVE-2020-0002")])
     assert updater.update_sources([feed], [], []) == 2
-    # a job pinned to the old snapshot stores under its own generation
-    daemon.cache_store(pinned.generation, [(_FINGERPRINT, _IDS_CACHED)])
+    # a job pinned to the old snapshot stores into that snapshot's cache
+    daemon.cache_store(pinned, [(_FINGERPRINT, _IDS_CACHED)])
     snapshot = daemon.snapshot()
     assert snapshot is not pinned and snapshot.generation == 2
     assert "CVE-2020-0002" in snapshot.records
-    assert daemon.cache_lookup(_FINGERPRINT, 2) is None
-    assert daemon.cache_lookup(_FINGERPRINT, 1) is None
-    daemon.cache_store(snapshot.generation, [(_FINGERPRINT, _IDS_CACHED)])
-    assert daemon.cache_lookup(_FINGERPRINT, 2) == _IDS_CACHED
+    assert daemon.cache_lookup(snapshot, _FINGERPRINT) is None
+    daemon.cache_store(snapshot, [(_FINGERPRINT, frozenset({"CVE-2020-0002"}))])
+    assert daemon.cache_lookup(snapshot, _FINGERPRINT) == {"CVE-2020-0002"}
     # a job still pinned to generation 1 never reads what generation 2 learned
-    assert daemon.cache_lookup(_FINGERPRINT, pinned.generation) is None
+    assert daemon.cache_lookup(pinned, _FINGERPRINT) == _IDS_CACHED
     # the cache is the daemon's own: nothing of it reaches the file
-    assert updater.snapshot().generation == 2
-    assert updater.cache_lookup(_FINGERPRINT, 2) is None
+    assert daemon.snapshot() is snapshot
+    assert updater.cache_lookup(updater.snapshot(), _FINGERPRINT) is None
     updater.close()
 
 
@@ -550,8 +550,9 @@ def test_generation_survives_reopen(tmp_path):
 def test_update_failure_rolls_back(tmp_path):
     feed = write_feed(tmp_path / "f.json", [feed_item("CVE-2020-0001")])
     database = make_database(tmp_path, [feed_item("CVE-2020-0001")])
-    assert database.snapshot().generation == 1
-    database.cache_store(1, [(_FINGERPRINT, _IDS_CACHED)])
+    snapshot = database.snapshot()
+    assert snapshot.generation == 1
+    database.cache_store(snapshot, [(_FINGERPRINT, _IDS_CACHED)])
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(Exception):
@@ -565,7 +566,8 @@ def test_update_failure_rolls_back(tmp_path):
     assert database.record_count() == 1
     assert "CVE-2020-0002" not in database.snapshot().records
     # the generation did not move, so what was learned on it still answers
-    assert database.cache_lookup(_FINGERPRINT, 1) == _IDS_CACHED
+    assert database.snapshot() is snapshot
+    assert database.cache_lookup(snapshot, _FINGERPRINT) == _IDS_CACHED
 
 
 # -- the cyclic collector during bulk phases ----------------------------------------
@@ -631,12 +633,13 @@ def test_snapshot_build_pauses_the_collector_then_restores_it(tmp_path, monkeypa
         assert gc.isenabled() is collector
 
 
-# -- schema upgrade and incremental snapshots ---------------------------------------
+# -- file layout and incremental snapshots ------------------------------------------
 
-def test_open_upgrades_a_file_of_the_old_schema(tmp_path):
-    path = str(tmp_path / "old.sqlite")
-    conn = sqlite3.connect(path)
-    conn.executescript("""
+# Layouts earlier versions wrote: CVE rows without a generation tag, with
+# applicability in a cve_cpe side table and a cache table; and a dictionary
+# whose rows carry only the URI.
+_RETIRED_LAYOUTS = {
+    "cve-cpe-side-table": """
         CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
         CREATE TABLE cve (id TEXT PRIMARY KEY, description TEXT NOT NULL DEFAULT '',
                           published TEXT, cvss TEXT NOT NULL DEFAULT '[]');
@@ -644,57 +647,55 @@ def test_open_upgrades_a_file_of_the_old_schema(tmp_path):
                               UNIQUE (cve_id, uri));
         CREATE TABLE exploit_link (exploit_id TEXT NOT NULL, cve_id TEXT NOT NULL,
                                    UNIQUE (exploit_id, cve_id));
+        CREATE TABLE cache (fingerprint TEXT PRIMARY KEY, generation INTEGER NOT NULL,
+                            cve_ids TEXT NOT NULL, cpes TEXT NOT NULL);
         INSERT INTO meta VALUES ('generation', '3');
         INSERT INTO cve VALUES ('CVE-2020-0001', 'synthetic record', '2020-01-02',
                                 '[["3.1", 9.8]]');
-        INSERT INTO cve VALUES ('CVE-2020-0002', '', NULL, '[]');
-        INSERT INTO cve VALUES ('CVE-2020-0003', '', NULL, '[]');
         INSERT INTO cve_cpe VALUES ('CVE-2020-0001', 'cpe:/a:adobe:reader');
-        INSERT INTO cve_cpe VALUES ('CVE-2020-0002', 'cpe:/a:acme:paint');
-        INSERT INTO cve_cpe VALUES ('CVE-2020-0002', 'cpe:/a:acme:brush');
-        INSERT INTO exploit_link VALUES ('EDB-1', 'CVE-2020-0002');
-        CREATE TABLE cache (fingerprint TEXT PRIMARY KEY, generation INTEGER NOT NULL,
-                            cve_ids TEXT NOT NULL, cpes TEXT NOT NULL);
-    """)
-    with conn:
-        conn.execute("INSERT INTO cache VALUES (?,?,?,?)",
-                     (_FINGERPRINT.hex(), 3, '["CVE-2020-0001"]',
-                      '["cpe:/a:adobe:reader:9.0"]'))
+        INSERT INTO exploit_link VALUES ('EDB-1', 'CVE-2020-0001');
+        INSERT INTO cache VALUES ('01', 3, '["CVE-2020-0001"]', '["cpe:/a:adobe:reader"]');
+    """,
+    "uri-only-dictionary": """
+        CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
+        CREATE TABLE cpe_dict (uri TEXT PRIMARY KEY);
+        INSERT INTO meta VALUES ('generation', '2'), ('dictionary_generation', '1');
+        INSERT INTO cpe_dict VALUES ('cpe:/a:acme:paint:1.0'), ('cpe:/o:google:android');
+    """,
+}
+
+
+@pytest.mark.parametrize("layout", list(_RETIRED_LAYOUTS))
+def test_open_refuses_a_file_of_a_retired_layout(tmp_path, monkeypatch, layout):
+    """A file lacking a column the code reads is refused with an error
+    naming it, its connection closed, before anything is written: its
+    bytes and journal mode stay as they were, and no write-ahead log is
+    left beside it."""
+    path = tmp_path / "old.sqlite"
+    conn = sqlite3.connect(path)
+    conn.executescript(_RETIRED_LAYOUTS[layout])
+    conn.close()
+    before = path.read_bytes()
+    opened = []
+    connect = sqlite3.connect
+
+    def recording_connect(*args, **kwargs):
+        opened.append(connect(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(db.sqlite3, "connect", recording_connect)
+    with pytest.raises(DbError, match="ingest the feeds into a new file") as refused:
+        VulnDatabase(str(path))
+    monkeypatch.undo()
+    assert str(path) in str(refused.value)
+    [refused_conn] = opened
+    with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+        refused_conn.execute("SELECT 1")
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.sqlite"]
+    conn = sqlite3.connect(path)
     assert conn.execute("PRAGMA journal_mode").fetchone() == ("delete",)
     conn.close()
-    database = VulnDatabase(path)
-    assert database.snapshot().generation == 3
-    # the old cache table is gone, and its rows with it
-    assert database.cache_lookup(_FINGERPRINT, 3) is None
-    fresh = make_database(tmp_path, [
-        feed_item("CVE-2020-0001", cpes=["cpe:/a:adobe:reader"], cvss3=9.8),
-        feed_item("CVE-2020-0002", cpes=["cpe:/a:acme:paint", "cpe:/a:acme:brush"]),
-        feed_item("CVE-2020-0003")], exploits=[("EDB-1", "CVE-2020-0002")],
-        name="fresh").snapshot()
-    upgraded = database.snapshot()
-    assert upgraded.records == fresh.records
-    assert upgraded.exploited == fresh.exploited == {"CVE-2020-0002"}
-    assert _buckets(upgraded) == _buckets(fresh)
-    # the upgraded file takes incremental updates
-    feed = write_feed(tmp_path / "f.json", [feed_item("CVE-2020-0001", cvss3=5.0)])
-    assert database.update_sources([feed]) == 4
-    assert database.snapshot().records["CVE-2020-0001"].max_cvss() == 5.0
-    database.close()
-    conn = sqlite3.connect(path)
-    columns = [row[1] for row in conn.execute("PRAGMA table_info(cve)")]
-    tables = {row[0] for row in conn.execute("SELECT name FROM sqlite_master WHERE type = 'table'")}
-    indexes = {row[1] for row in conn.execute("PRAGMA index_list(cve)")}
-    journal_mode = conn.execute("PRAGMA journal_mode").fetchone()
-    applicability = dict(conn.execute("SELECT id, applicability FROM cve"))
-    conn.close()
-    assert columns == ["id", "cvss", "changed_generation", "applicability"]
-    assert tables == {"meta", "cve", "cpe_dict", "exploit_link"}
-    # each CVE's URIs moved into its row, sorted
-    assert {cve_id: json.loads(uris) for cve_id, uris in applicability.items()} == {
-        "CVE-2020-0001": [], "CVE-2020-0002": ["cpe:/a:acme:brush", "cpe:/a:acme:paint"],
-        "CVE-2020-0003": []}
-    assert "cve_changed_generation" in indexes
-    assert journal_mode == ("wal",)
 
 
 def test_first_build_scans_and_a_delta_build_seeks_through_the_index(tmp_path):
@@ -798,26 +799,6 @@ def test_feed_repeating_a_cve_keeps_its_last_item(tmp_path):
     reopened = VulnDatabase(str(tmp_path / "db.sqlite"))
     assert reopened.snapshot().records == database.snapshot().records
     assert ("acme", "paint") not in reopened.snapshot().match_index
-
-
-def test_open_fills_the_dictionary_fields_of_an_older_file(tmp_path):
-    uris = ["cpe:/a:acme:paint:1.0", "cpe:/o:apple:mac_os_x", "cpe:/o:google:android",
-            "cpe:/o:canonical:ubuntu_linux", "cpe:/h:zeta", "cpe:/a"]
-    expected = make_database(tmp_path, dictionary=uris, name="fresh").snapshot().gen_index
-    path = str(tmp_path / "old.sqlite")
-    conn = sqlite3.connect(path)
-    conn.executescript("""
-        CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
-        CREATE TABLE cpe_dict (uri TEXT PRIMARY KEY);
-        INSERT INTO meta VALUES ('generation', '2'), ('dictionary_generation', '1');
-    """)
-    with conn:
-        conn.executemany("INSERT INTO cpe_dict VALUES (?)", [(uri,) for uri in uris])
-    conn.close()
-    database = VulnDatabase(path)
-    assert database.snapshot().gen_index == expected
-    database.close()
-    assert VulnDatabase(path).snapshot().gen_index == expected
 
 
 def test_open_drops_a_stored_dictionary_name_that_is_not_normalized(tmp_path, caplog):

@@ -291,10 +291,10 @@ class _FaultyLookups:
     def __getattr__(self, name):
         return getattr(self._database, name)
 
-    def cache_lookup(self, fingerprint, generation):
+    def cache_lookup(self, snapshot, fingerprint):
         if fingerprint in self._poisoned:
             raise RuntimeError("injected lookup failure")
-        return self._database.cache_lookup(fingerprint, generation)
+        return self._database.cache_lookup(snapshot, fingerprint)
 
 
 def test_one_component_failing_never_aborts_siblings(tmp_path, caplog):
@@ -318,7 +318,7 @@ def test_one_component_failing_never_aborts_siblings(tmp_path, caplog):
             assert result.cve_ids
 
 
-def test_job_keeps_its_results_while_another_connection_writes(tmp_path, caplog):
+def test_job_keeps_its_results_while_another_connection_writes(tmp_path):
     """While another connection holds the file's write lock, a job still
     returns its results and caches them: nothing about the cache waits
     on the file."""
@@ -331,18 +331,16 @@ def test_job_keeps_its_results_while_another_connection_writes(tmp_path, caplog)
     writer = sqlite3.connect(str(tmp_path / "db.sqlite"), isolation_level=None)
     writer.execute("BEGIN IMMEDIATE")
     try:
-        with caplog.at_level("INFO", logger="invscan.db"):
-            report = execute_job(ScanJob(token="t-busy", client_id="c1",
-                                         inventory=inventory), database)
-            rescan = execute_job(ScanJob(token="t-again", client_id="c1",
-                                         inventory=inventory), database)
+        report = execute_job(ScanJob(token="t-busy", client_id="c1", inventory=inventory),
+                             database)
+        rescan = execute_job(ScanJob(token="t-again", client_id="c1", inventory=inventory),
+                             database)
     finally:
         writer.execute("ROLLBACK")
         writer.close()
     assert all(result.error is None for result in report.results)
     assert ([result.cve_ids for result in report.results]
             == [result.cve_ids for result in expected.results])
-    assert not any("not cached" in m for m in caplog.messages)
     assert all(result.cache_hit for result in rescan.results)
 
 

@@ -4,6 +4,7 @@ import gc
 import io
 import ipaddress
 import json
+import os
 import socket
 import sys
 import threading
@@ -192,6 +193,22 @@ def test_add_then_load_credentials(tmp_path):
     from invscan.protocol import ClientCredential
     expected = ClientCredential.from_secret("vsc-a", secret, bytes.fromhex(salt))
     assert creds["vsc-a"].derived_key == expected.derived_key
+
+
+def test_add_credential_keeps_the_secrets_owner_only(tmp_path):
+    path = tmp_path / "creds.json"
+    umask = os.umask(0o022)
+    try:
+        add_credential(str(path), "vsc-a")
+        assert path.stat().st_mode & 0o077 == 0
+        path.chmod(0o644)
+        add_credential(str(path), "vsc-b")
+    finally:
+        os.umask(umask)
+    assert path.stat().st_mode & 0o077 == 0
+    assert set(load_credentials(str(path))) == {"vsc-a", "vsc-b"}
+    # the file was replaced whole; no temporary sibling is left
+    assert [p.name for p in tmp_path.iterdir()] == ["creds.json"]
 
 
 def test_add_credential_rejects_duplicate(tmp_path):
