@@ -5,11 +5,13 @@ last commit and never waits on a writer, in this process or another,
 and a commit appends to the -wal file beside the database (with the
 -shm index, which needs a local filesystem); synchronous stays FULL.
 Data changes only through update_sources, one transaction that ingests
-the sources and bumps the generation counter. A feed upserts one row
-per CVE, holding its scores and its applicability (sorted canonical
-URIs) as JSON lists and tagged with the new generation (an index covers
-the tag); an update that ingests a dictionary or an exploit map records
-its generation in meta. Readers work against an immutable snapshot per
+the sources and bumps the generation counter. It keeps what a scan
+reads: a CVE row holds the highest CVSS base score and the sorted
+canonical applicability URIs (a JSON list), tagged with the generation
+that wrote it (an index covers the tag); a dictionary adds its distinct
+(part, vendor, product) fields; an exploit map the CVE ids it links.
+An update that ingests a dictionary or an exploit map records its
+generation in meta. Readers work against an immutable snapshot per
 generation (records, exploited ids, match index, generation index).
 Opening a file builds nothing: the first snapshot() call builds the
 snapshot of the file's generation from an empty one, scanning every
@@ -18,8 +20,8 @@ moved: an update builds nothing, and one made through this connection
 or another (another process) is picked up by the next snapshot() call.
 A new snapshot is built from the previous one: it re-reads only the CVE
 rows tagged after the previous generation, and, unless an exploit map
-arrived since, only their exploit links; it reuses every other record
-object and, unless a dictionary arrived since, the generation index,
+arrived since, only whether those are exploited; it reuses every other
+record object and, unless a dictionary arrived since, the generation index,
 and rebuilds only the match-index buckets the re-read records left or
 entered.
 
@@ -59,7 +61,7 @@ CACHE_MAX_ENTRIES = 50_000
 # The CVE rows a snapshot build reads. The first build reads every row, so
 # it scans the table; a delta build seeks the rows tagged after the
 # previous generation through the changed_generation index.
-_FIRST_BUILD_READ = "SELECT id, cvss, applicability FROM cve"
+_FIRST_BUILD_READ = "SELECT id, max_cvss, applicability FROM cve"
 _DELTA_BUILD_READ = _FIRST_BUILD_READ + " WHERE changed_generation > ?"
 
 # One transaction: another process opening the new file finds all or none.
@@ -71,51 +73,48 @@ CREATE TABLE IF NOT EXISTS meta (
 );
 CREATE TABLE IF NOT EXISTS cve (
     id TEXT PRIMARY KEY,
-    cvss TEXT NOT NULL DEFAULT '[]',
+    max_cvss REAL,
     changed_generation INTEGER NOT NULL DEFAULT 0,
     applicability TEXT NOT NULL DEFAULT '[]'
 );
 CREATE TABLE IF NOT EXISTS cpe_dict (
-    uri TEXT PRIMARY KEY,
-    part TEXT,
+    part TEXT NOT NULL,
     vendor TEXT,
     product TEXT
 );
-CREATE TABLE IF NOT EXISTS exploit_link (
-    exploit_id TEXT NOT NULL,
-    cve_id TEXT NOT NULL,
-    UNIQUE (exploit_id, cve_id)
+-- Not UNIQUE (part, vendor, product): that treats unset fields (NULLs) as distinct.
+CREATE UNIQUE INDEX IF NOT EXISTS cpe_dict_name
+    ON cpe_dict (part, ifnull(vendor, ''), ifnull(product, ''));
+CREATE TABLE IF NOT EXISTS exploited (
+    cve_id TEXT PRIMARY KEY
 );
 CREATE INDEX IF NOT EXISTS cve_changed_generation ON cve (changed_generation);
 INSERT OR IGNORE INTO meta (key, value) VALUES ('generation', '0');
 COMMIT;
 """
 
-_LAYOUT_CHECK = ("SELECT m.key, m.value, c.id, c.cvss, c.changed_generation, c.applicability, "
-                 "d.uri, d.part, d.vendor, d.product, e.exploit_id, e.cve_id "
-                 "FROM meta m, cve c, cpe_dict d, exploit_link e LIMIT 0")
+_LAYOUT_CHECK = ("SELECT m.key, m.value, c.id, c.max_cvss, c.changed_generation, "
+                 "c.applicability, d.part, d.vendor, d.product, e.cve_id "
+                 "FROM meta m, cve c, cpe_dict d, exploited e LIMIT 0")
 
 
 class DbError(Exception):
     """Raised for database misuse (a malformed CVE id), a feed file that
-    is not an object holding a CVE_Items list, or a file of another layout."""
+    is not UTF-8 JSON holding a CVE_Items list, or a file of another layout."""
 
 
 @dataclass(frozen=True)
 class CveRecord:
-    """One vulnerability: identity, scores, applicable CPE field tuples;
-    whether an exploit is known is kept in DbSnapshot.exploited."""
+    """One vulnerability: identity, highest CVSS base score, applicable CPE
+    field tuples; whether an exploit is known is kept in DbSnapshot.exploited."""
 
     id: str
-    cvss_scores: frozenset[tuple[str, float]] = frozenset()
+    max_cvss: float | None = None
     applicability: frozenset[tuple[str | None, ...]] = frozenset()
 
     def __post_init__(self) -> None:
         if not CVE_ID_RE.fullmatch(self.id):
             raise DbError(f"malformed CVE id: {self.id!r}")
-
-    def max_cvss(self) -> float | None:
-        return max((score for _, score in self.cvss_scores), default=None)
 
 
 # Index key for names whose vendor or product is unspecified; those must
@@ -144,7 +143,7 @@ class DbSnapshot:
     are kept as tuples of str, which the collector stops tracking, so a
     full collection does not walk the cache.
 
-    exploited holds the ids of the records with an exploit link: the one
+    exploited holds the ids of the records an exploit map named: the one
     place exploit availability is kept, so no record object carries it.
     """
 
@@ -256,21 +255,20 @@ def canonical_applicability_uri(uri: str) -> str | None:
     return format_cpe_fields(fields)
 
 
-def _extract_cvss(impact: dict) -> list[tuple[str, float]]:
-    """The (version, base score) pairs of an item's CVSS v3 and v2
-    metrics; raises ValueError at a score that is not a finite number in
-    0-10 (a bool, a string, NaN or an infinity)."""
-    scores: list[tuple[str, float]] = []
-    for metric, key, default_version in (("baseMetricV3", "cvssV3", "3.0"),
-                                         ("baseMetricV2", "cvssV2", "2.0")):
+def _extract_cvss(impact: dict) -> float | None:
+    """The higher of an item's CVSS v3 and v2 base scores, as a float;
+    None when it has neither. Raises ValueError at a score that is not a
+    finite number in 0-10 (a bool, a string, NaN or an infinity)."""
+    scores = []
+    for metric, key in (("baseMetricV3", "cvssV3"), ("baseMetricV2", "cvssV2")):
         cvss = impact.get(metric, {}).get(key, {})
         if "baseScore" in cvss:
             score = cvss["baseScore"]
             if (isinstance(score, bool) or not isinstance(score, (int, float))
                     or not 0 <= score <= 10):
                 raise ValueError(f"CVSS base score {score!r} is not a number in 0-10")
-            scores.append((str(cvss.get("version", default_version)), float(score)))
-    return scores
+            scores.append(float(score))
+    return max(scores, default=None)
 
 
 class VulnDatabase:
@@ -336,16 +334,17 @@ class VulnDatabase:
         Only the CVE rows tagged after previous.generation are read
         again, each distinct stored URI parsed once; every other record
         object is shared with the previous snapshot. Rows are only
-        upserted and links only inserted, so the exploited set only
-        grows: unless an exploit map arrived after previous.generation,
-        the re-read rows' links are all it gains, and only those are
-        read. The match index is patched: only the buckets keyed by the
-        old or new applicability of a re-read record are rebuilt. The
-        generation index is reused unless a dictionary was ingested
-        after previous.generation. The reads share one transaction, so
-        the snapshot shows exactly one generation. A stored value that is
-        not JSON, or an applicability that is not a JSON list, raises
-        ValueError. Runs with the cyclic collector paused.
+        upserted and exploited ids only inserted, so the exploited set
+        only grows: unless an exploit map arrived after
+        previous.generation, the re-read ids are all it can gain, and
+        only those are looked up. The match index is patched: only the
+        buckets keyed by the old or new applicability of a re-read
+        record are rebuilt. The generation index is reused unless a
+        dictionary was ingested after previous.generation. The reads
+        share one transaction, so the snapshot shows exactly one
+        generation. A stored score that is not a number, or an
+        applicability that is not a JSON list, raises ValueError. Runs
+        with the cyclic collector paused.
         """
         started = time.perf_counter()
         since = previous.generation
@@ -357,19 +356,16 @@ class VulnDatabase:
             generation = self._read_meta("generation")
             if self._read_meta("exploit_generation") > since:
                 exploited = frozenset(row[0] for row in self._conn.execute(
-                    "SELECT DISTINCT e.cve_id FROM exploit_link e JOIN cve c ON c.id = e.cve_id"))
+                    "SELECT e.cve_id FROM exploited e JOIN cve c ON c.id = e.cve_id"))
             else:
                 exploited = previous.exploited.union(row[0] for row in self._conn.execute(
-                    "SELECT DISTINCT cve_id FROM exploit_link WHERE cve_id IN "
+                    "SELECT cve_id FROM exploited WHERE cve_id IN "
                     "(SELECT id FROM cve WHERE changed_generation > ?)", (since,)))
             parsed: dict[str, tuple[str | None, ...] | None] = {}
             reread: dict[str, CveRecord] = {}
             # Match-index buckets a re-read record leaves or enters.
             touched: set[tuple[str, str]] = set()
-            for cve_id, cvss_json, uris_json in self._conn.execute(cve_read, args):
-                scores = frozenset(
-                    (str(tag), float(score)) for tag, score in json.loads(cvss_json)
-                )
+            for cve_id, score, uris_json in self._conn.execute(cve_read, args):
                 uris = json.loads(uris_json)
                 if not isinstance(uris, list):
                     raise ValueError(f"stored applicability of {cve_id} is not a JSON list")
@@ -384,7 +380,7 @@ class VulnDatabase:
                     touched.update(map(_bucket_key, records[cve_id].applicability))
                 records[cve_id] = reread[cve_id] = CveRecord(
                     id=cve_id,
-                    cvss_scores=scores,
+                    max_cvss=None if score is None else float(score),
                     applicability=frozenset(parsed[uri] for uri in uris
                                             if parsed[uri] is not None),
                 )
@@ -428,24 +424,28 @@ class VulnDatabase:
     # -- ingestion -------------------------------------------------------
 
     def _ingest_feed_locked(self, path: str, generation: int) -> int:
-        """Upsert one feed's CVE rows, scores and applicability, tagged with
-        the generation; returns the number of CVE rows written. A CVE id
-        that repeats within the feed keeps its last item; a malformed item
-        is skipped with one warning naming its position."""
-        with open(path, "r", encoding="utf-8") as fh:
-            feed = json.load(fh)
-        items = feed.get("CVE_Items", []) if isinstance(feed, dict) else None
+        """Upsert one feed's CVE rows, highest score and applicability,
+        tagged with the generation; returns the number of CVE rows written.
+        A CVE id that repeats within the feed keeps its last item; a
+        malformed item is skipped with one warning naming its position; a
+        file that is not UTF-8 JSON holding a CVE_Items list raises DbError."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                feed = json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise DbError(f"feed {path} is not UTF-8 JSON: {exc}") from exc
+        items = feed.get("CVE_Items") if isinstance(feed, dict) else None
         if not isinstance(items, list):
             raise DbError(f"feed {path} is not an object holding a CVE_Items list")
         stored: dict[str, str | None] = {}
-        rows: dict[str, tuple[str, str]] = {}
+        rows: dict[str, tuple[float | None, str]] = {}
         for position, item in enumerate(items):
             # A value of the wrong type anywhere in the item raises one of these.
             try:
                 cve_id = item.get("cve", {}).get("CVE_data_meta", {}).get("ID")
                 if not cve_id or not CVE_ID_RE.fullmatch(str(cve_id)):
                     raise ValueError("it lacks a usable CVE id")
-                scores = _extract_cvss(item.get("impact", {}))
+                score = _extract_cvss(item.get("impact", {}))
                 uris: set[str] = set()
                 for entry in _walk_nodes(item.get("configurations", {}).get("nodes", [])):
                     uri = entry.get("cpe22Uri") or entry.get("cpe23Uri")
@@ -458,10 +458,10 @@ class VulnDatabase:
             except (AttributeError, TypeError, ValueError) as exc:
                 log.warning("feed %s item %d skipped: %s", path, position, exc)
                 continue
-            rows[str(cve_id)] = (json.dumps(sorted(scores)), json.dumps(sorted(uris)))
+            rows[str(cve_id)] = (score, json.dumps(sorted(uris)))
         self._conn.executemany(
-            "INSERT INTO cve (id, cvss, applicability, changed_generation) VALUES (?,?,?,?) "
-            "ON CONFLICT(id) DO UPDATE SET cvss=excluded.cvss, "
+            "INSERT INTO cve (id, max_cvss, applicability, changed_generation) VALUES (?,?,?,?) "
+            "ON CONFLICT(id) DO UPDATE SET max_cvss=excluded.max_cvss, "
             "applicability=excluded.applicability, "
             "changed_generation=excluded.changed_generation",
             [(cve_id, *row, generation) for cve_id, row in rows.items()],
@@ -469,7 +469,7 @@ class VulnDatabase:
         return len(rows)
 
     def _ingest_dictionary_locked(self, path: str) -> int:
-        """Add one dictionary's names; returns the number of new rows."""
+        """Add one dictionary's new (part, vendor, product) rows; returns their number."""
         rows = []
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -481,15 +481,15 @@ class VulnDatabase:
                 except CpeError as exc:
                     log.warning("%s:%d skipping malformed URI: %s", path, lineno, exc)
                     continue
-                rows.append((format_cpe_fields(fields), *fields[:3]))
+                rows.append(fields[:3])
         return self._conn.executemany(
-            "INSERT OR IGNORE INTO cpe_dict (uri, part, vendor, product) VALUES (?,?,?,?)",
+            "INSERT OR IGNORE INTO cpe_dict (part, vendor, product) VALUES (?,?,?)",
             rows,
         ).rowcount
 
     def _ingest_exploits_locked(self, path: str) -> int:
-        """Add one exploit map's links; returns the number of new links."""
-        links = []
+        """Add the new CVE ids one exploit map links; returns their number."""
+        ids = []
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
@@ -501,10 +501,9 @@ class VulnDatabase:
                         continue
                     log.warning("%s:%d skipping malformed exploit link %r", path, lineno, line)
                     continue
-                links.append((parts[0], parts[1]))
+                ids.append((parts[1],))
         return self._conn.executemany(
-            "INSERT OR IGNORE INTO exploit_link (exploit_id, cve_id) VALUES (?,?)", links,
-        ).rowcount
+            "INSERT OR IGNORE INTO exploited (cve_id) VALUES (?)", ids).rowcount
 
     @collector_paused()
     def update_sources(self, feed_paths=(), dictionary_paths=(), exploit_paths=()) -> int:
@@ -528,8 +527,8 @@ class VulnDatabase:
                     new_generation = self._read_meta("generation") + 1
                     cves = sum(self._ingest_feed_locked(path, new_generation)
                                for path in feed_paths)
-                    names = sum(map(self._ingest_dictionary_locked, dictionary_paths))
-                    links = sum(map(self._ingest_exploits_locked, exploit_paths))
+                    products = sum(map(self._ingest_dictionary_locked, dictionary_paths))
+                    exploited = sum(map(self._ingest_exploits_locked, exploit_paths))
                     if dictionary_paths:
                         self._write_meta("dictionary_generation", new_generation)
                     if exploit_paths:
@@ -541,8 +540,8 @@ class VulnDatabase:
                           exc_info=not isinstance(exc, DbError))
                 raise
             log.info("update to generation %d written in %.1f ms: %d CVE rows, "
-                     "%d dictionary rows, %d exploit links", new_generation,
-                     (time.perf_counter() - started) * 1e3, cves, names, links)
+                     "%d dictionary products, %d exploited CVEs", new_generation,
+                     (time.perf_counter() - started) * 1e3, cves, products, exploited)
             return new_generation
 
     # -- cache ------------------------------------------------------------

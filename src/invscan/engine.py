@@ -108,14 +108,10 @@ def _summarize(results, snapshot: DbSnapshot) -> tuple[int, float | None, int]:
     all_ids: set[str] = set()
     for result in results:
         all_ids |= result.cve_ids
-    max_cvss: float | None = None
-    for cve_id in all_ids:
-        record = snapshot.records.get(cve_id)
-        if record is None:
-            continue
-        best = record.max_cvss()
-        if best is not None and (max_cvss is None or best > max_cvss):
-            max_cvss = best
+    records = snapshot.records
+    max_cvss = max((records[cve_id].max_cvss for cve_id in all_ids
+                    if cve_id in records and records[cve_id].max_cvss is not None),
+                   default=None)
     return len(all_ids), max_cvss, len(snapshot.exploited.intersection(all_ids))
 
 
@@ -170,10 +166,8 @@ def report_to_dict(report: ScanReport) -> dict:
         for cve_id in sorted(result.cve_ids):
             entry: dict = {"id": cve_id, "exploit": cve_id in report.snapshot.exploited}
             record = report.snapshot.records.get(cve_id)
-            if record is not None:
-                best = record.max_cvss()
-                if best is not None:
-                    entry["cvss"] = best
+            if record is not None and record.max_cvss is not None:
+                entry["cvss"] = record.max_cvss
             cves.append(entry)
         doc = {
             "pvc": pvc_to_dict(result.pvc),

@@ -157,13 +157,13 @@ def word_combinations(name: str) -> set[str]:
     return _joins(words)
 
 
-def abbreviate_name(name: str) -> set[str]:
-    """First-letter abbreviation of a name's non-version words.
+def abbreviate_name(words: list[str]) -> set[str]:
+    """First-letter abbreviation of a name's non-version words, which
+    the caller has split off.
 
-    "media player classic 12.5" -> {"mpc"}. Yields nothing when fewer
-    than two words remain after dropping version-like words.
+    ["media", "player", "classic"] (of "media player classic 12.5") ->
+    {"mpc"}. Yields nothing for fewer than two words.
     """
-    words = _nonversion_words(name)
     if len(words) <= 1:
         return set()
     token = normalize_component("".join(w[0] for w in words))
@@ -316,7 +316,7 @@ def app_product_candidates(pvc: Pvc, index: GenerationIndex) -> set[str]:
     """
     words = _nonversion_words(pvc.name)
 
-    confirmed = _subsequence_joins(words) | abbreviate_name(pvc.name)
+    confirmed = _subsequence_joins(words) | abbreviate_name(words)
     confirmed &= index.known_products
     if confirmed:
         return confirmed

@@ -173,9 +173,22 @@ def write_exploit_map(path, links) -> str:
     return str(path)
 
 
+# Databases make_database opened during the running test; closed after it.
+_made_databases: list[VulnDatabase] = []
+
+
+@pytest.fixture(autouse=True)
+def _close_made_databases():
+    yield
+    while _made_databases:
+        _made_databases.pop().close()
+
+
 def make_database(tmp_path, items=(), dictionary=(), exploits=(), name="db") -> VulnDatabase:
-    """Database updated once over the given fixtures (generation 1)."""
+    """Database updated once over the given fixtures (generation 1); closed
+    when the test ends, if the test has not closed it."""
     database = VulnDatabase(str(tmp_path / f"{name}.sqlite"))
+    _made_databases.append(database)
     feeds = [write_feed(tmp_path / f"{name}-feed.json", items)] if items else []
     dictionaries = ([write_dictionary(tmp_path / f"{name}-dict.txt", dictionary)]
                     if dictionary else [])

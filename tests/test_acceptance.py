@@ -105,8 +105,10 @@ def test_acceptance_1_convention_goldens(announce):
         assert word_combinations("windows xp") == {
             "windowsxp", "windows_xp", "windows-xp"}
         assert word_combinations("java") == {"java"}
-        assert abbreviate_name("media player classic 12.5") == {"mpc"}
-        assert abbreviate_name("visual studio code") == {"vsc"}
+        assert abbreviate_name("media player classic".split()) == {"mpc"}
+        assert app_product_candidates(_app("media player classic 12.5"),
+                                      _index("cpe:/a:gabest:mpc")) == {"mpc"}
+        assert abbreviate_name("visual studio code".split()) == {"vsc"}
         assert extract_versions_from_text("CPUID 1.82.2") == {"1.82.2"}
         assert app_version_candidates(_app("CPUID 1.82.2")) == {"1.82.2"}
 

@@ -14,6 +14,7 @@ from invscan.client import (EXIT_MITM, EXIT_OK, EXIT_POLL_LIMIT,
                             EXIT_REJECTED, EXIT_THRESHOLD, EXIT_TIMEOUT,
                             EXIT_TRANSPORT, ClientConfig, TransportError,
                             poll_result, render_report, run_scan)
+from invscan.db import VulnDatabase
 from invscan.protocol import (MsgType, decode_frame, encode_frame,
                               open_message, result_response_body,
                               scan_accept_body, scan_reject_body,
@@ -456,13 +457,29 @@ def test_cli_refuses_a_file_of_an_old_layout_in_one_line(tmp_path, caplog, monke
 
 
 def test_cli_update_of_a_feed_that_is_not_an_object_fails_in_one_line(tmp_path, caplog):
+    good = tmp_path / "good"
+    good.mkdir()
+    write_feed(good / "nvd.json", [feed_item("CVE-2019-0001", cpes=["cpe:/a:acme:paint"])])
+    config_path = tmp_path / "server.json"
+    db_path = tmp_path / "invscan.db"
+    config_path.write_text(json.dumps({"db_path": str(db_path)}), encoding="utf-8")
+    first = CliRunner().invoke(cli_main, [
+        "server", "update", "--feeds", str(good), "--config", str(config_path)])
+    assert first.exit_code == 0, first.output
     feeds = tmp_path / "feeds"
     feeds.mkdir()
-    (feeds / "nvd.json").write_text('[{"cve": {}}]', encoding="utf-8")
-    config_path = tmp_path / "server.json"
-    config_path.write_text(json.dumps({"db_path": str(tmp_path / "invscan.db")}),
-                           encoding="utf-8")
-    result = CliRunner().invoke(cli_main, [
-        "server", "update", "--feeds", str(feeds), "--config", str(config_path)])
-    _refused(result, feeds / "nvd.json", caplog)
-    assert "not an object holding a CVE_Items list" in result.output
+    for data, reason in ((b'[{"cve": {}}]', "not an object holding a CVE_Items list"),
+                         # a stray config file among the feeds
+                         (config_path.read_bytes(), "not an object holding a CVE_Items list"),
+                         (b"{not json", "is not UTF-8 JSON"),
+                         (b'{"CVE_Items": ["\xff"]}', "is not UTF-8 JSON")):
+        (feeds / "nvd.json").write_bytes(data)
+        caplog.clear()
+        result = CliRunner().invoke(cli_main, [
+            "server", "update", "--feeds", str(feeds), "--config", str(config_path)])
+        _refused(result, feeds / "nvd.json", caplog)
+        assert reason in result.output
+    # no refused update wrote anything
+    database = VulnDatabase(str(db_path))
+    assert database.record_count() == 1 and database.snapshot().generation == 1
+    database.close()

@@ -1,5 +1,6 @@
 """Feed ingestion, persistence, matching, and the per-snapshot cache."""
 
+import contextlib
 import gc
 import sqlite3
 import sys
@@ -14,7 +15,8 @@ from hypothesis import example, given, settings, strategies as st
 from invscan import db
 from invscan.cpe import CpeError, CpeName, format_cpe_fields, split_cpe_uri
 from invscan.db import CveRecord, DbError, VulnDatabase, canonical_applicability_uri, cpe23_to_22
-from invscan.generation import ComponentCandidates, GenerationIndex, cartesian_expand
+from invscan.generation import (ComponentCandidates, GenerationIndex, build_index_from_fields,
+                                cartesian_expand)
 from invscan.server import run_update
 from conftest import (brute_force_match, cpe_segment, feed_item, make_database, one_name,
                       seed_cpe23_to_22, seed_format_cpe_uri, seed_parse_cpe_uri,
@@ -35,8 +37,8 @@ def test_ingest_counts_and_empty_sets(tmp_path):
     records = database.snapshot().records
     assert database.record_count() == 5
     assert records["CVE-2020-0003"].applicability == frozenset()
-    assert records["CVE-2020-0004"].cvss_scores == frozenset()
-    assert records["CVE-2020-0002"].cvss_scores == frozenset({("2.0", 7.5)})
+    assert records["CVE-2020-0004"].max_cvss is None
+    assert records["CVE-2020-0002"].max_cvss == 7.5
 
 
 def test_ingest_empty_feed(tmp_path):
@@ -44,6 +46,7 @@ def test_ingest_empty_feed(tmp_path):
     path = write_feed(tmp_path / "empty.json", [])
     assert database.update_sources([path]) == 1
     assert database.snapshot().records == {}
+    database.close()
 
 
 def test_ingest_is_idempotent(tmp_path):
@@ -58,6 +61,7 @@ def test_ingest_is_idempotent(tmp_path):
     assert before.records == after.records
     assert before.match_index == after.match_index
     assert database.record_count() == 2
+    database.close()
 
 
 def test_ingest_skips_idless_items(tmp_path, caplog):
@@ -99,19 +103,23 @@ def test_ingest_skips_idless_items(tmp_path, caplog):
         database.update_sources([path])
     records = database.snapshot().records
     assert set(records) == {"CVE-2020-0001", "CVE-2020-0021", "CVE-2020-0022"}
-    assert records["CVE-2020-0021"].cvss_scores == {("3.1", 0.0)}
-    assert records["CVE-2020-0022"].cvss_scores == {("2.0", 10.0)}
+    assert records["CVE-2020-0021"].max_cvss == 0.0
+    assert records["CVE-2020-0022"].max_cvss == 10.0
     assert any("lacks a usable CVE id" in m for m in caplog.messages)
     for position in range(1, len(items) + len(kept)):
         assert sum(f"feed {path} item {position} skipped" in m
                    for m in caplog.messages) == (position < len(items))
-    # a feed whose top level is not an object fails the whole update
+    # a feed whose top level is not an object holding a CVE_Items list fails
+    # the whole update: the generation and rows stay as they were
     top = tmp_path / "top.json"
-    top.write_text('[{"cve": {}}]', encoding="utf-8")
-    with pytest.raises(DbError, match="top.json"):
-        database.update_sources([write_feed(tmp_path / "f2.json", [feed_item("CVE-2020-0009")]),
-                                 str(top)])
-    assert database.record_count() == 3
+    for text in ('[{"cve": {}}]', '{"db_path": "invscan.db"}', '{"CVE_Items": {}}'):
+        top.write_text(text, encoding="utf-8")
+        with pytest.raises(DbError, match="top.json"):
+            database.update_sources([write_feed(tmp_path / "f2.json",
+                                                [feed_item("CVE-2020-0009")]), str(top)])
+        assert database.record_count() == 3
+        assert database.snapshot().generation == 1
+    database.close()
 
 
 def test_ingest_accepts_cpe23_uris(tmp_path):
@@ -201,6 +209,7 @@ def test_dictionary_empty_file(tmp_path):
     path.write_text("", encoding="utf-8")
     database.update_sources(dictionary_paths=[str(path)])
     assert database.snapshot().gen_index == GenerationIndex()
+    database.close()
 
 
 def test_dictionary_skips_malformed_lines(tmp_path, caplog):
@@ -210,6 +219,7 @@ def test_dictionary_skips_malformed_lines(tmp_path, caplog):
     with caplog.at_level("WARNING"):
         database.update_sources(dictionary_paths=[str(path)])
     index = database.snapshot().gen_index
+    database.close()
     assert index.known_vendors == {"good"}
     assert index.known_products == {"entry"}
     assert sum("skipping malformed URI" in m for m in caplog.messages) == 2
@@ -271,6 +281,7 @@ def test_exploit_links_to_unknown_cves_retained(tmp_path):
     feed_path = write_feed(tmp_path / "f.json", [feed_item("CVE-2021-7777")])
     database.update_sources([feed_path], [], [])
     assert "CVE-2021-7777" in database.snapshot().exploited
+    database.close()
 
 
 def test_exploit_join_matches_brute_force_oracle(tmp_path, rng):
@@ -291,6 +302,7 @@ def test_exploit_map_skips_malformed_rows(tmp_path, caplog):
     with caplog.at_level("WARNING"):
         database.update_sources([feed], exploit_paths=[str(path)])
     assert "CVE-2020-0001" in database.snapshot().exploited
+    database.close()
     # the header is skipped quietly; the two malformed rows are logged
     assert sum("skipping malformed exploit link" in m for m in caplog.messages) == 2
 
@@ -534,6 +546,7 @@ def test_generation_counter(tmp_path):
     feed = write_feed(tmp_path / "f.json", [feed_item("CVE-2020-0001")])
     assert database.update_sources([feed], [], []) == 1
     assert database.update_sources([feed], [], []) == 2
+    database.close()
 
 
 def test_generation_survives_reopen(tmp_path):
@@ -545,6 +558,7 @@ def test_generation_survives_reopen(tmp_path):
     reopened = VulnDatabase(path)
     assert reopened.snapshot().generation == 1
     assert reopened.record_count() == 1
+    reopened.close()
 
 
 def test_update_failure_rolls_back(tmp_path):
@@ -605,7 +619,7 @@ def test_update_pauses_the_collector_then_restores_it(tmp_path, monkeypatch, col
     feed = write_feed(tmp_path / "f2.json", [feed_item("CVE-2020-0002")])
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
-    with pytest.raises(ValueError):
+    with pytest.raises(DbError, match="bad.json"):
         database.update_sources([feed, str(bad)])
     assert seen == [False, False]
     assert gc.isenabled() is collector
@@ -621,8 +635,9 @@ def test_snapshot_build_pauses_the_collector_then_restores_it(tmp_path, monkeypa
     assert seen == [False]
     assert gc.isenabled() is collector
     # builds that raise: generation 2 wrote an applicability that is not a
-    # JSON list, then a score that is not JSON
-    for column, value in (("applicability", '{"cpe:/a:acme:paint": 1}'), ("cvss", "not json")):
+    # JSON list, then a score that is not a number
+    for column, value in (("applicability", '{"cpe:/a:acme:paint": 1}'),
+                          ("max_cvss", "not a number")):
         conn = sqlite3.connect(str(tmp_path / "db.sqlite"))
         with conn:
             conn.execute(f"UPDATE cve SET {column} = ?, changed_generation = 2", (value,))
@@ -636,8 +651,9 @@ def test_snapshot_build_pauses_the_collector_then_restores_it(tmp_path, monkeypa
 # -- file layout and incremental snapshots ------------------------------------------
 
 # Layouts earlier versions wrote: CVE rows without a generation tag, with
-# applicability in a cve_cpe side table and a cache table; and a dictionary
-# whose rows carry only the URI.
+# applicability in a cve_cpe side table and a cache table; a dictionary
+# whose rows carry only the URI; and CVE rows holding every (version,
+# score) pair, dictionary rows keyed by URI and exploit links by exploit id.
 _RETIRED_LAYOUTS = {
     "cve-cpe-side-table": """
         CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
@@ -661,6 +677,22 @@ _RETIRED_LAYOUTS = {
         CREATE TABLE cpe_dict (uri TEXT PRIMARY KEY);
         INSERT INTO meta VALUES ('generation', '2'), ('dictionary_generation', '1');
         INSERT INTO cpe_dict VALUES ('cpe:/a:acme:paint:1.0'), ('cpe:/o:google:android');
+    """,
+    "score-pairs-and-exploit-links": """
+        CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
+        CREATE TABLE cve (id TEXT PRIMARY KEY, cvss TEXT NOT NULL DEFAULT '[]',
+                          changed_generation INTEGER NOT NULL DEFAULT 0,
+                          applicability TEXT NOT NULL DEFAULT '[]');
+        CREATE TABLE cpe_dict (uri TEXT PRIMARY KEY, part TEXT, vendor TEXT, product TEXT);
+        CREATE TABLE exploit_link (exploit_id TEXT NOT NULL, cve_id TEXT NOT NULL,
+                                   UNIQUE (exploit_id, cve_id));
+        CREATE INDEX cve_changed_generation ON cve (changed_generation);
+        INSERT INTO meta VALUES ('generation', '1'), ('dictionary_generation', '1'),
+                                ('exploit_generation', '1');
+        INSERT INTO cve VALUES ('CVE-2020-0001', '[["2.0", 7.5], ["3.1", 9.8]]', 1,
+                                '["cpe:/a:adobe:reader"]');
+        INSERT INTO cpe_dict VALUES ('cpe:/a:adobe:reader:9.0', 'a', 'adobe', 'reader');
+        INSERT INTO exploit_link VALUES ('EDB-1', 'CVE-2020-0001');
     """,
 }
 
@@ -717,7 +749,7 @@ def test_first_build_scans_and_a_delta_build_seeks_through_the_index(tmp_path):
                 if statement.startswith("SELECT") and "FROM meta" not in statement}
 
     first = build_plans()
-    [cve_read] = [plan for statement, plan in first.items() if "SELECT id, cvss" in statement]
+    [cve_read] = [plan for statement, plan in first.items() if "SELECT id, max_cvss" in statement]
     assert cve_read == ["SCAN cve"]
     assert sum(plan.count("SCAN cve") for plan in first.values()) == 1
     assert not any("cve_changed_generation" in step
@@ -725,7 +757,7 @@ def test_first_build_scans_and_a_delta_build_seeks_through_the_index(tmp_path):
     feed = write_feed(tmp_path / "f2.json", [feed_item("CVE-2020-0001", cvss3=9.8)])
     database.update_sources([feed])
     delta = build_plans()
-    # the row and exploit-link reads
+    # the row and exploited-id reads
     assert len(delta) == 2
     assert all(any("USING INDEX cve_changed_generation" in step for step in plan)
                for plan in delta.values())
@@ -745,7 +777,7 @@ def test_update_reuses_unchanged_records_and_logs_the_build(tmp_path, caplog):
         after = database.snapshot()
     assert after.gen_index is before.gen_index
     assert "CVE-2020-0001" in after.exploited
-    assert after.records["CVE-2020-0002"].max_cvss() == 7.0
+    assert after.records["CVE-2020-0002"].max_cvss == 7.0
     [line] = [m for m in caplog.messages if m.startswith("snapshot")]
     assert "generation 2" in line and "1 records re-read" in line
     assert "generation index reused" in line
@@ -755,7 +787,7 @@ def test_update_reuses_unchanged_records_and_logs_the_build(tmp_path, caplog):
     # records no update touched are the same objects
     latest = database.snapshot()
     assert latest.records["CVE-2020-0002"] is after.records["CVE-2020-0002"]
-    # an update of exploit links alone keeps every record object
+    # an update of an exploit map alone keeps every record object
     links = write_exploit_map(tmp_path / "e4.csv", [("EDB-2", "CVE-2020-0002")])
     database.update_sources(exploit_paths=[links])
     exploit_only = database.snapshot()
@@ -772,18 +804,21 @@ def test_update_builds_no_snapshot_and_logs_its_counts(tmp_path, caplog):
     write_feed(feeds / "nvd.json", [
         feed_item("CVE-2020-0001", cpes=["cpe:/a:adobe:reader"]),
         feed_item("CVE-2020-0002", cpes=["cpe:/a:acme:paint"])])
-    write_dictionary(feeds / "dict.txt", ["cpe:/a:adobe:reader", "cpe:/a:acme:paint"])
-    write_exploit_map(feeds / "map.csv", [("EDB-1", "CVE-2020-0001")])
+    write_dictionary(feeds / "dict.txt", ["cpe:/a:adobe:reader", "cpe:/a:acme:paint",
+                                          "cpe:/a:acme:paint:2.0"])
+    write_exploit_map(feeds / "map.csv", [("EDB-1", "CVE-2020-0001"),
+                                          ("EDB-2", "CVE-2020-0001")])
     with caplog.at_level("INFO", logger="invscan.db"):
         assert run_update(database, str(feeds)) == 1
         assert database.record_count() == 2
     assert not [m for m in caplog.messages if m.startswith("snapshot of generation")]
     [line] = [m for m in caplog.messages if m.startswith("update to generation")]
     assert "generation 1" in line and "2 CVE rows" in line
-    assert "2 dictionary rows" in line and "1 exploit links" in line
+    assert "2 dictionary products" in line and "1 exploited CVEs" in line
     assert not any(word in line for word in ("adobe", "acme", "cpe:/", "CVE-"))
     # the next read builds the new generation's snapshot
     assert database.snapshot().generation == 1
+    database.close()
 
 
 def test_feed_repeating_a_cve_keeps_its_last_item(tmp_path):
@@ -795,10 +830,11 @@ def test_feed_repeating_a_cve_keeps_its_last_item(tmp_path):
     record = database.snapshot().records["CVE-2020-0001"]
     assert record.applicability == {split_cpe_uri("cpe:/a:zeta:ink"),
                                     split_cpe_uri("cpe:/a:zeta:pen")}
-    assert record.max_cvss() == 9.8
+    assert record.max_cvss == 9.8
     reopened = VulnDatabase(str(tmp_path / "db.sqlite"))
     assert reopened.snapshot().records == database.snapshot().records
     assert ("acme", "paint") not in reopened.snapshot().match_index
+    reopened.close()
 
 
 def test_open_drops_a_stored_dictionary_name_that_is_not_normalized(tmp_path, caplog):
@@ -806,12 +842,13 @@ def test_open_drops_a_stored_dictionary_name_that_is_not_normalized(tmp_path, ca
     database.close()
     conn = sqlite3.connect(str(tmp_path / "db.sqlite"))
     with conn:
-        conn.execute("INSERT INTO cpe_dict VALUES ('cpe:/a:big_corp:tool', 'a', 'big corp', "
-                     "'tool')")
-        conn.execute("INSERT INTO cpe_dict VALUES ('cpe:/x:zeta:pen', 'x', 'zeta', 'pen')")
+        conn.execute("INSERT INTO cpe_dict VALUES ('a', 'big corp', 'tool')")
+        conn.execute("INSERT INTO cpe_dict VALUES ('x', 'zeta', 'pen')")
     conn.close()
+    reopened = VulnDatabase(str(tmp_path / "db.sqlite"))
     with caplog.at_level("WARNING"):
-        index = VulnDatabase(str(tmp_path / "db.sqlite")).snapshot().gen_index
+        index = reopened.snapshot().gen_index
+    reopened.close()
     assert index.known_vendors == {"acme"}
     assert index.known_products == {"paint"}
     assert any("dropping stored dictionary name" in m and "not normalized" in m
@@ -844,8 +881,11 @@ _IDS = [f"CVE-2020-{n:04d}" for n in range(1, 7)]
 # Specific names plus wildcard-bucket names (vendor or product unspecified).
 _APPLICABILITY = ["cpe:/a:acme:paint", "cpe:/a:acme:paint:1.0", "cpe:/a:acme:brush",
                   "cpe:/o:zeta:zos:2", "cpe:/a:acme", "cpe:/a::paint", "cpe:/o"]
+# Names with an unset vendor or product, too, each the only source of what
+# it adds to the generation index.
 _DICTIONARY = ["cpe:/a:acme:paint", "cpe:/o:zeta:zos", "cpe:/o:apple:mac_os_x",
-               "cpe:/o:google:android", "cpe:/o:canonical:ubuntu_linux"]
+               "cpe:/o:google:android", "cpe:/o:canonical:ubuntu_linux",
+               "cpe:/a:acme:paint:2.0", "cpe:/a::ink", "cpe:/o:nova", "cpe:/h"]
 _QUERIES = [one_name(uri) for uri in (
     "cpe:/a:acme:paint:1.0", "cpe:/a:acme:paint:2.0", "cpe:/o:zeta:zos:2",
     "cpe:/o:zeta:zos:3", "cpe:/a:other:thing:1", "cpe:/h:acme:router:1")] + [
@@ -854,18 +894,22 @@ _QUERIES = [one_name(uri) for uri in (
                         updates=frozenset({"sp1"}))]
 
 _link = st.tuples(st.sampled_from(["EDB-1", "EDB-2"]), st.sampled_from(_IDS))
-# An update of any sources, or one that carries only an exploit map.
+# A CVSS v3 or v2 base score, or none; ints and floats, the bounds included.
+_score = st.sampled_from([None, 0, 0.0, 4.3, 7, 9.8, 10, 10.0])
+# An update of any sources, or one that carries only an exploit map; with
+# twice, the update ingests its dictionary and exploit map two times.
 _update = st.one_of(
     st.fixed_dictionaries({
-        "feed": st.lists(st.tuples(st.sampled_from(_IDS),
-                                   st.sampled_from([None, 5.0, 9.8]),
+        "feed": st.lists(st.tuples(st.sampled_from(_IDS), _score, _score,
                                    st.sets(st.sampled_from(_APPLICABILITY), max_size=3)),
                          max_size=3),
-        "dictionary": st.lists(st.sampled_from(_DICTIONARY), max_size=2),
+        "dictionary": st.lists(st.sampled_from(_DICTIONARY), max_size=3),
         "exploits": st.lists(_link, max_size=2),
+        "twice": st.booleans(),
     }),
     st.fixed_dictionaries({"feed": st.just([]), "dictionary": st.just([]),
-                           "exploits": st.lists(_link, min_size=1, max_size=2)}),
+                           "exploits": st.lists(_link, min_size=1, max_size=2),
+                           "twice": st.booleans()}),
 )
 # A step is one update through the long-lived connection, or one or more
 # through a second connection, which the first then catches up on at once.
@@ -875,13 +919,14 @@ _step = st.one_of(st.tuples(st.just("live"), st.lists(_update, min_size=1, max_s
 
 def _apply(database, directory: Path, update, serial: int) -> None:
     feeds = [write_feed(directory / f"{serial}.json", [
-        feed_item(cve_id, cpes=sorted(cpes), cvss3=score)
-        for cve_id, score, cpes in update["feed"]])] if update["feed"] else []
+        feed_item(cve_id, cpes=sorted(cpes), cvss3=cvss3, cvss2=cvss2)
+        for cve_id, cvss3, cvss2, cpes in update["feed"]])] if update["feed"] else []
     dictionaries = ([write_dictionary(directory / f"{serial}.txt", update["dictionary"])]
                     if update["dictionary"] else [])
     exploits = ([write_exploit_map(directory / f"{serial}.csv", update["exploits"])]
                 if update["exploits"] else [])
-    database.update_sources(feeds, dictionaries, exploits)
+    times = 2 if update["twice"] else 1
+    database.update_sources(feeds, dictionaries * times, exploits * times)
 
 
 def _buckets(snapshot):
@@ -892,18 +937,26 @@ def _buckets(snapshot):
 
 
 def _only(**sources):
-    return {"feed": [], "dictionary": [], "exploits": [], **sources}
+    return {"feed": [], "dictionary": [], "exploits": [], "twice": False, **sources}
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(_step, min_size=1, max_size=6))
 # A link arrives before its CVE; a later feed adds the CVE, then another one.
 @example([("live", [_only(exploits=[("EDB-1", _IDS[0])])]),
-          ("live", [_only(feed=[(_IDS[0], None, {_APPLICABILITY[0]})])]),
-          ("other", [_only(feed=[(_IDS[1], 5.0, set())])])])
+          ("live", [_only(feed=[(_IDS[0], None, None, {_APPLICABILITY[0]})])]),
+          ("other", [_only(feed=[(_IDS[1], 5.0, None, set())])])])
 # An update that carries only an exploit map flags a record it does not re-read.
-@example([("live", [_only(feed=[(_IDS[0], 9.8, {_APPLICABILITY[0]})])]),
+@example([("live", [_only(feed=[(_IDS[0], 9.8, None, {_APPLICABILITY[0]})])]),
           ("other", [_only(exploits=[("EDB-2", _IDS[0])])])])
+# Both scores, then a repeated id whose last item wins; names with an unset
+# vendor or product and two links to one CVE, ingested twice, then again.
+@example([("live", [_only(feed=[(_IDS[0], 10, 9.8, set()), (_IDS[1], 0, 7, set()),
+                                (_IDS[0], 0, None, set())],
+                          dictionary=["cpe:/a::ink", "cpe:/o:nova", "cpe:/h"],
+                          exploits=[("EDB-1", _IDS[0]), ("EDB-2", _IDS[0])], twice=True)]),
+          ("other", [_only(dictionary=["cpe:/a::ink", "cpe:/o:nova"],
+                           exploits=[("EDB-2", _IDS[0])])])])
 def test_incremental_snapshot_equals_a_fresh_open(steps):
     with tempfile.TemporaryDirectory() as scratch:
         directory = Path(scratch)
@@ -911,18 +964,37 @@ def test_incremental_snapshot_equals_a_fresh_open(steps):
         live = VulnDatabase(path)
         other = VulnDatabase(path)
         serial = 0
+        # What the test wrote: each CVE's highest score (its last item's),
+        # the fields of each dictionary name, and the ids linked to an exploit.
+        scores: dict[str, float | None] = {}
+        names: set[tuple[str | None, ...]] = set()
+        linked: set[str] = set()
         for via, updates in steps:
             for update in updates:
                 serial += 1
                 _apply(live if via == "live" else other, directory, update, serial)
+                for cve_id, cvss3, cvss2, _cpes in update["feed"]:
+                    scores[cve_id] = max((s for s in (cvss3, cvss2) if s is not None),
+                                         default=None)
+                names.update(split_cpe_uri(uri)[:3] for uri in update["dictionary"])
+                linked.update(cve_id for _, cve_id in update["exploits"])
             fresh = VulnDatabase(path)
             expected = fresh.snapshot()
             fresh.close()
+            # re-ingesting a dictionary name or an exploited id adds no row
+            with contextlib.closing(sqlite3.connect(path)) as conn:
+                assert conn.execute("SELECT count(*) FROM cpe_dict").fetchone() == (len(names),)
+                assert conn.execute("SELECT count(*) FROM exploited").fetchone() == (len(linked),)
+            # every name reaches the index, an unset vendor or product too
+            assert expected.gen_index == build_index_from_fields(names)
+            stored = {cve_id: record.max_cvss for cve_id, record in expected.records.items()}
+            assert stored == scores
+            assert all(isinstance(score, float) for score in stored.values() if score is not None)
             for database in (live, other):
                 got = database.snapshot()
                 assert got.generation == expected.generation == serial
                 assert got.records == expected.records
-                assert got.exploited == expected.exploited <= got.records.keys()
+                assert got.exploited == expected.exploited == linked & got.records.keys()
                 assert got.gen_index == expected.gen_index
                 assert _buckets(got) == _buckets(expected)
                 for query in _QUERIES:

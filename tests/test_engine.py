@@ -151,6 +151,7 @@ def test_scan_requires_initialized_database(tmp_path):
     database = VulnDatabase(str(tmp_path / "fresh.sqlite"))
     with pytest.raises(EngineError):
         scan_pvc(catalog_pvc(0), database)
+    database.close()
 
 
 def test_pinned_version_cve_found_only_at_that_version(tmp_path):
@@ -427,7 +428,7 @@ def test_summary_recomputable_from_results(tmp_path):
     exploitable = 0
     for cve_id in union:
         record = database.snapshot().records[cve_id]
-        score = record.max_cvss()
+        score = record.max_cvss
         if score is not None and (best is None or score > best):
             best = score
         if cve_id in database.snapshot().exploited:
@@ -559,7 +560,7 @@ def test_report_reads_the_generation_it_was_scanned_on(tmp_path):
     links = write_exploit_map(tmp_path / "delta.csv", [("EDB-200", "CVE-2019-1001")])
     database.update_sources([delta], exploit_paths=[links])
     live = database.snapshot().records["CVE-2019-1001"]
-    assert live.max_cvss() == 9.9 and "CVE-2019-1001" in database.snapshot().exploited
+    assert live.max_cvss == 9.9 and "CVE-2019-1001" in database.snapshot().exploited
     doc = report_to_dict(report)
     entries = {c["id"]: c for c in doc["results"][0]["cves"]}
     assert entries == {

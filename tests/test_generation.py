@@ -51,15 +51,18 @@ def test_word_combinations_normalizes_case():
 
 
 def test_abbreviate_drops_version_words():
-    assert abbreviate_name("media player classic 12.5") == {"mpc"}
+    assert abbreviate_name(["media", "player", "classic"]) == {"mpc"}
+    # the version word never reaches the abbreviation the dictionary confirms
+    assert app_product_candidates(app_pvc("media player classic 12.5"),
+                                  _index("cpe:/a:gabest:mpc")) == {"mpc"}
 
 
 def test_abbreviate_single_word_is_empty():
-    assert abbreviate_name("windows") == set()
+    assert abbreviate_name(["windows"]) == set()
 
 
 def test_abbreviate_three_words():
-    assert abbreviate_name("visual studio code") == {"vsc"}
+    assert abbreviate_name(["visual", "studio", "code"]) == {"vsc"}
 
 
 @pytest.mark.parametrize("word,expected", [

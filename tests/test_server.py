@@ -1005,3 +1005,4 @@ def test_run_update_globs_directory(tmp_path):
     assert "CVE-2020-0001" in snapshot.exploited
     assert "paint" in snapshot.gen_index.known_products
     assert run_update(database, str(feeds_dir)) == 2
+    database.close()
